@@ -20,15 +20,15 @@ import dataclasses
 import math
 import sys
 
+import numpy as np
+
 from . import design, odeb, screen, sim
 from ._util import round_half_away_from_zero
 from .errors import (
     ConfigError,
-    DegenerateInput,
     DomainError,
     EodsError,
     FileError,
-    InsufficientData,
     SchemaError,
 )
 
@@ -68,31 +68,50 @@ def _read_rows(path):
 
 
 def _parse_cell(text, line_no, column):
+    """One numeric cell: NaN when missing, SchemaError when not finite."""
     token = text.strip()
     if token in _MISSING_TOKENS:
-        return None
+        return math.nan
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise SchemaError(
             f"line {line_no}, column {column!r}: cannot parse {text!r} "
             "as a number"
         )
+    if not math.isfinite(value):
+        raise SchemaError(
+            f"line {line_no}, column {column!r}: {text!r} is not a finite "
+            "number"
+        )
+    return value
 
 
-def _load_study(path, response_column, biomarker_columns):
-    """Responses plus per-biomarker optional values, by file order.
+def _load_study(path, response_column, biomarker_columns=None, log10=False):
+    """Responses plus biomarker columns, from one read of the file.
 
-    Returns (responses, biomarkers) where biomarkers maps column name
-    to a list with None on rows where that biomarker was not tested.
+    Returns (responses, biomarkers): float64 arrays, biomarkers mapping
+    column name to its values with NaN on rows where that biomarker was
+    not tested. biomarker_columns None means every column except the
+    response and 'id'. log10 transforms each biomarker's tested values.
     """
     header, raw = _read_rows(path)
-    for name in [response_column, *biomarker_columns]:
+    if biomarker_columns is None:
+        biomarker_columns = [
+            h for h in header if h not in (response_column, "id")
+        ]
+        if not biomarker_columns:
+            raise SchemaError(f"{path}: no biomarker columns found")
+    names = list(dict.fromkeys(biomarker_columns))
+    for name in [response_column, *names]:
         if name not in header:
             raise SchemaError(f"{path}: missing column {name!r}")
-    col = {name: i for i, name in enumerate(header)}
-    responses = []
-    biomarkers = {name: [] for name in biomarker_columns}
+    if not raw:
+        raise SchemaError(f"{path}: no data rows")
+    y_col = header.index(response_column)
+    cols = [(header.index(name), name) for name in names]
+    responses = np.empty(len(raw))
+    values = np.empty((len(names), len(raw)))
     for i, row in enumerate(raw):
         line_no = i + 2  # header is line 1
         if len(row) != len(header):
@@ -100,45 +119,42 @@ def _load_study(path, response_column, biomarker_columns):
                 f"line {line_no}: expected {len(header)} fields, "
                 f"got {len(row)}"
             )
-        y = _parse_cell(row[col[response_column]], line_no, response_column)
-        if y is None:
+        y = _parse_cell(row[y_col], line_no, response_column)
+        if math.isnan(y):
             raise SchemaError(
                 f"line {line_no}: missing response in column "
                 f"{response_column!r}"
             )
-        responses.append(y)
-        for name in biomarker_columns:
-            biomarkers[name].append(_parse_cell(row[col[name]], line_no, name))
-    if not responses:
-        raise SchemaError(f"{path}: no data rows")
+        responses[i] = y
+        values[:, i] = [_parse_cell(row[j], line_no, name) for j, name in cols]
+    biomarkers = dict(zip(names, values))
+    if log10:
+        for name, column in biomarkers.items():
+            _log10_in_place(column, name)
     return responses, biomarkers
 
 
-def _tested_rows(values):
-    return [i for i, v in enumerate(values) if v is not None]
+def _log10_in_place(column, biomarker_id):
+    tested = np.flatnonzero(~np.isnan(column))
+    bad = tested[~(column[tested] > 0.0)]
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(
+            f"line {i + 2}, biomarker {biomarker_id!r}: log10 "
+            f"transform needs positive values, got {float(column[i])!r}"
+        )
+    # math.log10 per value: np.log10 is not guaranteed to round the same
+    column[tested] = [math.log10(v) for v in column[tested].tolist()]
 
 
-def _log10_checked(values, rows, biomarker_id):
-    out = []
-    for i in rows:
-        v = values[i]
-        if not v > 0.0:
-            raise DomainError(
-                f"line {i + 2}, biomarker {biomarker_id!r}: log10 "
-                f"transform needs positive values, got {v!r}"
-            )
-        out.append(math.log10(v))
-    return out
-
-
-def _warn_if_not_extreme(responses, tested, label):
+def _warn_if_not_extreme(responses, biomarker, label):
     """The design needs the tested rows to be the response extremes."""
-    tested_set = set(tested)
-    untested = [y for i, y in enumerate(responses) if i not in tested_set]
-    if not untested:
+    tested = ~np.isnan(biomarker)
+    untested = responses[~tested]
+    if not untested.size:
         return
-    lo, hi = min(untested), max(untested)
-    inside = sum(1 for i in tested if lo < responses[i] < hi)
+    y = responses[tested]
+    inside = np.count_nonzero((untested.min() < y) & (y < untested.max()))
     if inside:
         print(
             f"warning: {inside} tested row(s) for {label} lie strictly "
@@ -156,35 +172,21 @@ def _write_qq(path, series):
             writer.writerow([_fmt(float(tq)), _fmt(float(ov))])
 
 
-def _analyze_one(responses, values, biomarker_id, confidence, log10_flag):
-    """(estimate, n_selected, tested_rows) for one biomarker column."""
-    rows = _tested_rows(values)
-    if log10_flag:
-        x = _log10_checked(values, rows, biomarker_id)
-    else:
-        x = [values[i] for i in rows]
-    y_sub = [responses[i] for i in rows]
-    full = odeb.FullResponseSummary.from_responses(responses)
-    gamma_effective = len(rows) / len(responses)
-    subset = odeb.SelectedSubset.from_arrays(x, y_sub, gamma_effective)
-    return odeb.estimate(subset, full, confidence), subset, rows
-
-
 # ------------------------------------------------------------- analyze
 
 
 def cmd_analyze(args):
     responses, biomarkers = _load_study(
-        args.input, args.response, [args.biomarker]
+        args.input, args.response, [args.biomarker], args.log10
     )
     values = biomarkers[args.biomarker]
-    est, subset, rows = _analyze_one(
-        responses, values, args.biomarker, args.confidence, args.log10
-    )
-    _warn_if_not_extreme(responses, rows, f"biomarker {args.biomarker!r}")
-    n_full = len(responses)
-    n_selected = len(rows)
-    gamma_effective = n_selected / n_full
+    full = odeb.FullResponseSummary.from_responses(responses)
+    subset = odeb.SelectedSubset.from_tested(responses, values)
+    est = odeb.estimate(subset, full, args.confidence)
+    _warn_if_not_extreme(responses, values, f"biomarker {args.biomarker!r}")
+    n_full = full.n_full
+    n_selected = subset.n_selected
+    gamma_effective = subset.gamma
 
     print(
         f"n_full {n_full}, n_selected {n_selected}, "
@@ -246,8 +248,6 @@ def _resolve_effect(args):
     if (args.effect_f is None) == (args.effect_rho is None):
         raise DomainError("provide exactly one of --effect-f, --effect-rho")
     if args.effect_f is not None:
-        if not args.effect_f >= 0.0:
-            raise DomainError("--effect-f must be nonnegative")
         return args.effect_f
     return math.sqrt(design.cohen_f2(args.effect_rho))
 
@@ -320,61 +320,15 @@ _SCREEN_HEADER = [
 
 def cmd_screen(args):
     responses, biomarkers = _load_study(
-        args.input, args.response, _screen_columns(args)
+        args.input, args.response, _screen_columns(args), args.log10
     )
-    worked = []
+    table = screen.screen_biomarkers(responses, biomarkers, args.confidence)
+    failed = {row.biomarker_id for row in table if row.error is not None}
     for biomarker_id, values in biomarkers.items():
-        try:
-            est, _, rows = _analyze_one(
-                responses, values, biomarker_id, args.confidence, args.log10
-            )
+        if biomarker_id not in failed:
             _warn_if_not_extreme(
-                responses, rows, f"biomarker {biomarker_id!r}"
+                responses, values, f"biomarker {biomarker_id!r}"
             )
-            worked.append((biomarker_id, est, None))
-        except (DegenerateInput, InsufficientData) as exc:
-            worked.append((biomarker_id, None, str(exc)))
-
-    q_iter = iter(screen.bh_adjust([e.p_value for _, e, err in worked if err is None]))
-    table = []
-    for biomarker_id, est, err in worked:
-        if err is None:
-            table.append(
-                screen.ScreenRow(
-                    biomarker_id=biomarker_id,
-                    estimate=est.beta_y,
-                    se=est.se_beta_y,
-                    ci_low=est.ci_low,
-                    ci_high=est.ci_high,
-                    p_value=est.p_value,
-                    q_value=next(q_iter),
-                    rank=0,
-                    error=None,
-                )
-            )
-        else:
-            table.append(
-                screen.ScreenRow(
-                    biomarker_id=biomarker_id,
-                    estimate=math.nan,
-                    se=math.nan,
-                    ci_low=math.nan,
-                    ci_high=math.nan,
-                    p_value=math.nan,
-                    q_value=math.nan,
-                    rank=0,
-                    error=err,
-                )
-            )
-    table.sort(
-        key=lambda r: (
-            math.isnan(r.p_value),
-            0.0 if math.isnan(r.p_value) else r.p_value,
-            r.biomarker_id,
-        )
-    )
-    for i, row in enumerate(table, start=1):
-        row.rank = i
 
     csv_rows = [_SCREEN_HEADER] + [
         [
@@ -410,15 +364,12 @@ def cmd_screen(args):
 
 
 def _screen_columns(args):
-    if args.biomarkers:
-        names = [name.strip() for name in args.biomarkers.split(",")]
-        if not all(names):
-            raise DomainError("--biomarkers contains an empty column name")
-        return names
-    header, _ = _read_rows(args.input)
-    names = [h for h in header if h not in (args.response, "id")]
-    if not names:
-        raise SchemaError(f"{args.input}: no biomarker columns found")
+    """The --biomarkers list, or None for the loader's default set."""
+    if not args.biomarkers:
+        return None
+    names = [name.strip() for name in args.biomarkers.split(",")]
+    if not all(names):
+        raise DomainError("--biomarkers contains an empty column name")
     return names
 
 
@@ -641,12 +592,9 @@ def cmd_check(args):
     responses, biomarkers = _load_study(
         args.input, args.response, [args.biomarker]
     )
-    values = biomarkers[args.biomarker]
-    rows = _tested_rows(values)
-    x = [values[i] for i in rows]
-    y_sub = [responses[i] for i in rows]
-    gamma_effective = len(rows) / len(responses)
-    subset = odeb.SelectedSubset.from_arrays(x, y_sub, gamma_effective)
+    subset = odeb.SelectedSubset.from_tested(
+        responses, biomarkers[args.biomarker]
+    )
     diag = odeb.check_model(subset, responses)
 
     prefix = args.out or _default_check_prefix(args.input)

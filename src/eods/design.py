@@ -23,6 +23,13 @@ from .errors import DomainError, Infeasible
 _MAX_N_FULL = 10_000_000
 
 
+def _check_effect_f(effect_f):
+    if not 0.0 <= effect_f < math.inf:
+        raise DomainError(
+            f"effect_f must be finite and nonnegative, got {effect_f!r}"
+        )
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """One planning configuration."""
@@ -37,8 +44,7 @@ class DesignSpec:
             raise DomainError(f"n_full must be at least 5, got {self.n_full!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if not self.effect_f >= 0.0:
-            raise DomainError("effect_f must be nonnegative")
+        _check_effect_f(self.effect_f)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if round_half_away_from_zero(self.gamma * self.n_full) < 3:
@@ -81,8 +87,7 @@ def power_full(n, effect_f, alpha):
     """Power of the level-alpha slope test with all n subjects observed."""
     if n < 4:
         raise DomainError(f"n must be at least 4, got {n!r}")
-    if not effect_f >= 0.0:
-        raise DomainError("effect_f must be nonnegative")
+    _check_effect_f(effect_f)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     df2 = n - 2

@@ -69,6 +69,19 @@ class SelectedSubset:
         pairs = regress.PairedSample(predictor=response, response=biomarker)
         return cls(pairs=pairs, n_selected=len(pairs), gamma=gamma)
 
+    @classmethod
+    def from_tested(cls, responses, biomarker):
+        """The rows where biomarker is not NaN, at gamma = tested / total.
+
+        responses is the full response vector and biomarker aligns with
+        it row for row, NaN marking the rows that were not tested.
+        """
+        y = np.asarray(responses, dtype=float)
+        x = np.asarray(biomarker, dtype=float)
+        tested = ~np.isnan(x)
+        gamma = int(np.count_nonzero(tested)) / y.shape[0]
+        return cls.from_arrays(x[tested], y[tested], gamma)
+
 
 @dataclass
 class OdebEstimate:

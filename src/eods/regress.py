@@ -49,7 +49,6 @@ class FitResult:
     intercept: float
     slope: float
     se_slope: float
-    se_intercept: float
     residual_variance: float
     df: int
     r_squared: float
@@ -86,7 +85,6 @@ def fit_simple(sample):
     df = n - 2
     residual_variance = rss / df
     se_slope = math.sqrt(residual_variance / sxx)
-    se_intercept = math.sqrt(residual_variance * (1.0 / n + x_mean * x_mean / sxx))
     r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
 
     if se_slope > 0.0:
@@ -103,7 +101,6 @@ def fit_simple(sample):
         intercept=intercept,
         slope=slope,
         se_slope=se_slope,
-        se_intercept=se_intercept,
         residual_variance=residual_variance,
         df=df,
         r_squared=r_squared,

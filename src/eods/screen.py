@@ -52,6 +52,8 @@ def select_extremes(responses, gamma):
     if y.ndim != 1:
         raise DomainError("responses must be a one-dimensional vector")
     n = y.shape[0]
+    if not bool(np.all(np.isfinite(y))):
+        raise DomainError("responses must be finite")
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma must lie in (0, 1], got {gamma!r}")
     if n < 5:
@@ -122,42 +124,29 @@ def bh_adjust(p_values):
     return [float(v) for v in out]
 
 
-def screen_biomarkers(
-    biomarker_table,
-    subset_responses,
-    full,
-    confidence_level=0.95,
-    log10_transform=False,
-):
-    """Univariable screen of many biomarkers over one selected subset.
+def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
+    """Univariable screen of many biomarkers against one response vector.
 
-    Each biomarker vector must align row-for-row with subset_responses.
-    Per-biomarker estimation failures flag the row and the batch keeps
-    going; rows are sorted by ascending p-value (failed rows last, ties
-    by biomarker id) and carry BH q-values over the successful tests.
+    responses is the full response vector. biomarkers maps each id to a
+    vector aligned with it row for row, NaN where that biomarker was not
+    tested; each biomarker is fit on its own tested rows. Per-biomarker
+    estimation failures flag the row and the batch keeps going; rows are
+    sorted by ascending p-value (failed rows last, ties by biomarker id)
+    and carry BH q-values over the successful tests.
     """
-    y_subset = np.asarray(subset_responses, dtype=float)
-    n_selected = y_subset.shape[0]
-    gamma = n_selected / full.n_full
+    y = np.asarray(responses, dtype=float)
+    full = odeb.FullResponseSummary.from_responses(y)
 
     worked = []
-    for biomarker_id, values in biomarker_table.items():
-        vals = np.asarray(values, dtype=float)
-        if vals.shape[0] != n_selected:
+    for biomarker_id, values in biomarkers.items():
+        x = np.asarray(values, dtype=float)
+        if x.shape != y.shape:
             raise DomainError(
-                f"biomarker {biomarker_id!r} has {vals.shape[0]} rows; "
-                f"expected {n_selected}"
+                f"biomarker {biomarker_id!r} has {x.shape[0]} rows; "
+                f"expected {y.shape[0]}"
             )
-        if log10_transform:
-            bad = np.nonzero(~(vals > 0.0))[0]
-            if bad.size:
-                raise DomainError(
-                    f"biomarker {biomarker_id!r} row {int(bad[0])}: "
-                    "log10 transform needs positive values"
-                )
-            vals = np.log10(vals)
         try:
-            subset = odeb.SelectedSubset.from_arrays(vals, y_subset, gamma)
+            subset = odeb.SelectedSubset.from_tested(y, x)
             est = odeb.estimate(subset, full, confidence_level)
             worked.append((str(biomarker_id), est, None))
         except (DegenerateInput, InsufficientData) as exc:
@@ -178,23 +167,11 @@ def screen_biomarkers(
                     p_value=est.p_value,
                     q_value=next(q_ok),
                     rank=0,
-                    error=None,
                 )
             )
         else:
-            rows.append(
-                ScreenRow(
-                    biomarker_id=biomarker_id,
-                    estimate=math.nan,
-                    se=math.nan,
-                    ci_low=math.nan,
-                    ci_high=math.nan,
-                    p_value=math.nan,
-                    q_value=math.nan,
-                    rank=0,
-                    error=err,
-                )
-            )
+            rows.append(ScreenRow(biomarker_id, *[math.nan] * 6, rank=0, error=err))
+
     def sort_key(row):
         failed = math.isnan(row.p_value)
         return (failed, 0.0 if failed else row.p_value, row.biomarker_id)

@@ -312,6 +312,26 @@ def test_analyze_log10_rejects_nonpositive(tmp_path, capsys):
     assert "line 6" in err and "log10" in err
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity", "+INF"])
+@pytest.mark.parametrize("column", [1, 2])
+def test_analyze_rejects_non_finite_cell(tmp_path, capsys, token, column):
+    rows = [[f"r{i}", repr(float(i)), repr(0.5 + i)] for i in range(12)]
+    rows[5][column] = token
+    path = tmp_path / "nonfinite.csv"
+    _write_study(path, rows)
+    code = main(
+        [
+            "analyze",
+            "--input", str(path),
+            "--response", "resp",
+            "--biomarker", "bm",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "finite" in err
+
+
 # ---------------------------------------------------------------- plan
 
 
@@ -408,6 +428,21 @@ def test_plan_argument_validation(capsys):
     )
     assert main(["plan", "--n-full", "200", "--gamma", "0.2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        ["--n-full", "200", "--gamma", "0.2"],
+        ["--gamma", "0.2", "--target-power", "0.9"],
+        ["--n-full", "200", "--target-power", "0.9"],
+    ],
+)
+@pytest.mark.parametrize("effect", ["inf", "nan", "-0.5"])
+def test_plan_effect_f_must_be_finite_and_nonnegative(capsys, design, effect):
+    assert main(["plan", *design, "--effect-f", effect]) == 2
+    err = capsys.readouterr().err
+    assert "effect_f" in err and "Traceback" not in err
 
 
 def test_plan_infeasible_target_reported(capsys):
@@ -553,6 +588,29 @@ def test_screen_explicit_biomarker_list(tmp_path):
     assert sorted(ids) == ["bm1", "bm3"]
 
 
+def test_screen_repeated_biomarker_screened_once(tmp_path):
+    out = tmp_path / "dup.csv"
+    code = main(
+        [
+            "screen",
+            "--input", GOLDEN_STUDY,
+            "--response", "resp",
+            "--biomarkers", "bm1,bm1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert [r[0] for r in _read_csv(out)[1:]] == ["bm1"]
+
+
+def test_screen_constant_response_rejected(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    _write_study(path, [[f"r{i}", "5.0", repr(0.5 + i)] for i in range(12)])
+    code = main(["screen", "--input", str(path), "--response", "resp"])
+    assert code == 2
+    assert "full response variance" in capsys.readouterr().err
+
+
 def test_screen_unknown_biomarker_rejected(capsys):
     code = main(
         [
@@ -573,6 +631,114 @@ def test_screen_stdout_when_no_out_file(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("biomarker,Estimate,Std. Error,LCL,UCL,P-Value")
+
+
+def test_screen_warns_when_subset_not_extreme(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=60)
+    rows = []
+    for i in range(60):
+        tail = repr(float(rng.normal())) if i < 6 or i >= 54 else "NA"
+        mid = repr(float(rng.normal())) if i % 5 == 0 else "NA"
+        rows.append([f"r{i}", repr(float(np.sort(y)[i])), tail, mid])
+    path = tmp_path / "mid.csv"
+    _write_study(path, rows, header=("id", "resp", "bm_tail", "bm_mid"))
+    code = main(
+        ["screen", "--input", str(path), "--response", "resp",
+         "--out", str(tmp_path / "out.csv")]
+    )
+    assert code == 0
+    warnings = [
+        line for line in capsys.readouterr().err.splitlines()
+        if "does not look extreme" in line
+    ]
+    assert len(warnings) == 1 and "'bm_mid'" in warnings[0]
+
+
+def test_screen_reads_input_once(tmp_path, monkeypatch):
+    import builtins
+
+    from eods import cli
+
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    out = tmp_path / "screen.csv"
+    code = main(
+        ["screen", "--input", GOLDEN_STUDY, "--response", "resp",
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert opened.count(GOLDEN_STUDY) == 1
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "Infinity"])
+@pytest.mark.parametrize("column", [1, 3])
+def test_screen_rejects_non_finite_cell(tmp_path, capsys, token, column):
+    rows = _read_csv(GOLDEN_STUDY)
+    header, data = rows[0], [list(r) for r in rows[1:]]
+    data[9][column] = token
+    path = tmp_path / "nonfinite.csv"
+    _write_study(path, data, header=header)
+    code = main(["screen", "--input", str(path), "--response", "resp"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 11" in err and "finite" in err
+
+
+def test_screen_log10_matches_manual_transform(tmp_path):
+    rows = _read_csv(GOLDEN_STUDY)
+    header, data = rows[0], rows[1:]
+    names = [h for h in header if h.startswith("bm")]
+    exp_rows = []
+    for r in data:
+        r = list(r)
+        for name in names:
+            i = header.index(name)
+            if r[i] not in ("", "NA"):
+                r[i] = repr(math.exp(float(r[i])))
+        exp_rows.append(r)
+    path = tmp_path / "expo.csv"
+    _write_study(path, exp_rows, header=header)
+    out = tmp_path / "out.csv"
+    code = main(
+        ["screen", "--input", str(path), "--response", "resp", "--log10",
+         "--out", str(out)]
+    )
+    assert code == 0
+    by_id = {r[0]: r for r in _read_csv(out)[1:]}
+    assert sorted(by_id) == sorted(names)
+    y = np.array([float(r[header.index("resp")]) for r in exp_rows])
+    full = odeb.FullResponseSummary.from_responses(y)
+    for name in names:
+        i = header.index(name)
+        tested = [k for k, r in enumerate(exp_rows) if r[i] not in ("", "NA")]
+        raw = np.array([float(exp_rows[k][i]) for k in tested])
+        subset = odeb.SelectedSubset.from_arrays(
+            np.log10(raw), y[tested], len(tested) / len(y)
+        )
+        est = odeb.estimate(subset, full)
+        assert abs(float(by_id[name][1]) - est.beta_y) < TOL_EXACT
+
+
+def test_screen_log10_rejects_nonpositive(tmp_path, capsys):
+    path = tmp_path / "neg.csv"
+    rows = [
+        [f"r{i}", repr(float(i)), repr(0.5 + i), repr(1.5 + i)]
+        for i in range(12)
+    ]
+    rows[7][3] = "0.0"
+    _write_study(path, rows, header=("id", "resp", "bm_ok", "bm_bad"))
+    code = main(
+        ["screen", "--input", str(path), "--response", "resp", "--log10"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 9" in err and "log10" in err and "bm_bad" in err
 
 
 # ------------------------------------------------------------ simulate

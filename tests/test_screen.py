@@ -121,6 +121,14 @@ def test_select_extremes_validation():
         screen.select_extremes(np.zeros((5, 2)), 0.5)
 
 
+def test_select_extremes_rejects_non_finite_responses():
+    for bad in (math.nan, math.inf, -math.inf):
+        y = np.arange(20.0)
+        y[7] = bad
+        with pytest.raises(DomainError, match="finite"):
+            screen.select_extremes(y, 0.5)
+
+
 def test_bh_adjust_worked_example():
     q = screen.bh_adjust([0.005, 0.011, 0.02, 0.04])
     assert len(q) == 4
@@ -192,6 +200,13 @@ def test_bh_adjust_edge_cases():
         screen.bh_adjust([0.1, math.nan])
 
 
+def _tested_only(n_full, idx, values):
+    """A full-length biomarker column, NaN off the tested rows idx."""
+    col = np.full(n_full, np.nan)
+    col[idx] = values
+    return col
+
+
 def _screen_fixture(seed=5, n_full=300, gamma=0.2):
     rng = np.random.default_rng(seed)
     x_assoc = rng.normal(size=n_full)
@@ -199,17 +214,16 @@ def _screen_fixture(seed=5, n_full=300, gamma=0.2):
     plan = screen.select_extremes(y, gamma)
     idx = plan.low_indices + plan.high_indices
     table = {
-        "bm_assoc": x_assoc[idx],
-        "bm_null_a": rng.normal(size=len(idx)),
-        "bm_null_b": rng.normal(size=len(idx)),
+        "bm_assoc": _tested_only(n_full, idx, x_assoc[idx]),
+        "bm_null_a": _tested_only(n_full, idx, rng.normal(size=len(idx))),
+        "bm_null_b": _tested_only(n_full, idx, rng.normal(size=len(idx))),
     }
-    full = odeb.FullResponseSummary.from_responses(y)
-    return table, y[idx], full
+    return table, y, idx
 
 
 def test_screen_rows_sorted_ranked_and_consistent():
-    table, y_sub, full = _screen_fixture()
-    rows = screen.screen_biomarkers(table, y_sub, full)
+    table, y, idx = _screen_fixture()
+    rows = screen.screen_biomarkers(y, table)
     assert [r.rank for r in rows] == [1, 2, 3]
     assert rows[0].biomarker_id == "bm_assoc"
     ps = [r.p_value for r in rows]
@@ -219,10 +233,11 @@ def test_screen_rows_sorted_ranked_and_consistent():
     for row, q in zip(rows, want_q):
         assert abs(row.q_value - q) < TOL_EXACT
     # each row reproduces a direct single-biomarker analysis
-    gamma = len(y_sub) / full.n_full
+    full = odeb.FullResponseSummary.from_responses(y)
+    gamma = len(idx) / full.n_full
     for row in rows:
         subset = odeb.SelectedSubset.from_arrays(
-            table[row.biomarker_id], y_sub, gamma
+            table[row.biomarker_id][idx], y[idx], gamma
         )
         est = odeb.estimate(subset, full)
         assert abs(row.estimate - est.beta_y) < TOL_EXACT
@@ -234,9 +249,9 @@ def test_screen_rows_sorted_ranked_and_consistent():
 
 
 def test_screen_failed_biomarker_is_flagged_not_fatal():
-    table, y_sub, full = _screen_fixture(seed=9)
-    table["bm_flat"] = np.full(len(y_sub), 3.25)
-    rows = screen.screen_biomarkers(table, y_sub, full)
+    table, y, idx = _screen_fixture(seed=9)
+    table["bm_flat"] = _tested_only(len(y), idx, 3.25)
+    rows = screen.screen_biomarkers(y, table)
     assert len(rows) == 4
     flat = [r for r in rows if r.biomarker_id == "bm_flat"]
     assert len(flat) == 1
@@ -253,41 +268,19 @@ def test_screen_failed_biomarker_is_flagged_not_fatal():
 
 
 def test_screen_tie_break_by_biomarker_id():
-    table, y_sub, full = _screen_fixture(seed=13)
-    table["aa_dup"] = np.asarray(table["bm_assoc"], dtype=float).copy()
-    rows = screen.screen_biomarkers(table, y_sub, full)
+    table, y, _ = _screen_fixture(seed=13)
+    table["aa_dup"] = table["bm_assoc"].copy()
+    rows = screen.screen_biomarkers(y, table)
     dup_rank = next(r.rank for r in rows if r.biomarker_id == "aa_dup")
     orig_rank = next(r.rank for r in rows if r.biomarker_id == "bm_assoc")
     assert dup_rank == orig_rank - 1  # identical p, "aa" sorts first
 
 
 def test_screen_misaligned_biomarker_rejected():
-    table, y_sub, full = _screen_fixture()
+    table, y, _ = _screen_fixture()
     table["bm_short"] = np.ones(5)
     with pytest.raises(DomainError, match="bm_short"):
-        screen.screen_biomarkers(table, y_sub, full)
-
-
-def test_screen_log10_transform():
-    table, y_sub, full = _screen_fixture(seed=31)
-    raw = np.exp(np.asarray(table["bm_assoc"], dtype=float))
-    rows = screen.screen_biomarkers(
-        {"bm_exp": raw}, y_sub, full, log10_transform=True
-    )
-    gamma = len(y_sub) / full.n_full
-    subset = odeb.SelectedSubset.from_arrays(np.log10(raw), y_sub, gamma)
-    est = odeb.estimate(subset, full)
-    assert abs(rows[0].estimate - est.beta_y) < TOL_EXACT
-
-
-def test_screen_log10_rejects_nonpositive():
-    table, y_sub, full = _screen_fixture()
-    bad = np.abs(np.asarray(table["bm_null_a"], dtype=float)) + 0.5
-    bad[7] = 0.0
-    with pytest.raises(DomainError, match="bm_bad"):
-        screen.screen_biomarkers(
-            {"bm_bad": bad}, y_sub, full, log10_transform=True
-        )
+        screen.screen_biomarkers(y, table)
 
 
 def test_screen_null_family_wise_error_controlled():
@@ -301,11 +294,10 @@ def test_screen_null_family_wise_error_controlled():
         plan = screen.select_extremes(y, gamma)
         idx = plan.low_indices + plan.high_indices
         table = {
-            f"m{k:02d}": rng.normal(size=len(idx))
+            f"m{k:02d}": _tested_only(n_full, idx, rng.normal(size=len(idx)))
             for k in range(n_markers)
         }
-        full = odeb.FullResponseSummary.from_responses(y)
-        rows = screen.screen_biomarkers(table, y[idx], full)
+        rows = screen.screen_biomarkers(y, table)
         if any(r.q_value <= 0.05 for r in rows if r.error is None):
             hits += 1
     assert hits / reps <= 0.07
