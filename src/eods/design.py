@@ -73,13 +73,14 @@ def variance_inflation(gamma):
     """Variance of the two-tail-selected response relative to the full one.
 
     Equals 2 * integral_z^inf x^2 (1/gamma) phi(x) dx with
-    z = norm_quantile(1 - gamma/2); the closed form below follows from
-    the truncated-tail second moment identity. Decreasing in gamma, 1 at
-    gamma = 1.
+    z = -norm_quantile(gamma/2), the upper gamma/2 point; the closed form
+    below follows from the truncated-tail second moment identity.
+    Decreasing in gamma, 1 at gamma = 1. Solving on the lower tail keeps
+    z exact for tiny gamma, where 1 - gamma/2 would round to 1.
     """
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma must lie in (0, 1], got {gamma!r}")
-    z = dist.norm_quantile(1.0 - gamma / 2.0)
+    z = -dist.norm_quantile(gamma / 2.0)
     return (2.0 * z * dist.norm_pdf(z) + gamma) / gamma
 
 

@@ -9,7 +9,6 @@ forward parameters; and propagate uncertainty to the forward slope with
 a first-order delta-method standard error.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +37,17 @@ class FullResponseSummary:
         n = y.shape[0]
         if n < 3:
             raise InsufficientData("full response sample must have n >= 3")
-        mean = float(np.mean(y))
-        dy = y - mean
-        var = float(np.sum(dy * dy)) / (n - 1)
-        if var <= 0.0:
-            raise DegenerateInput("full response variance must be positive")
-        return cls(n_full=n, mean_y=mean, var_y=var)
+        mean, var = response_moments(y)
+        return cls(n_full=n, mean_y=float(mean), var_y=float(var))
+
+
+def response_moments(responses):
+    """Mean and sample variance (divisor n - 1) along the last axis."""
+    y = np.asarray(responses, dtype=float)
+    n = y.shape[-1]
+    mean = np.add.reduce(y, axis=-1) / n  # np.mean, without its dispatch
+    dy = y - mean[..., None]
+    return mean, np.add.reduce(dy * dy, axis=-1) / (n - 1)
 
 
 @dataclass
@@ -98,6 +102,28 @@ class OdebEstimate:
     reverse_fit: regress.FitResult = field(repr=False)
 
 
+_CONVERSION_UNDEFINED = (
+    "reverse fit is deterministic with zero slope; conversion undefined"
+)
+_SLOPE_VARIANCE_COLLAPSED = "collapsed denominator in the slope variance"
+
+
+def _forward_rows(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
+    """The conversion entry by entry, with a mask of the defined entries.
+
+    Entries whose denominator vanishes are marked False and hold
+    meaningless values.
+    """
+    den = sigma2_eps_x + beta_x * beta_x * var_y
+    defined = den != 0.0
+    # a zero denominator becomes one, so undefined entries divide quietly
+    den = den + (den == 0.0)
+    beta_y = beta_x * var_y / den
+    alpha_y = (sigma2_eps_x * mean_y - alpha_x * beta_x * var_y) / den
+    sigma2_eps_y = var_y * sigma2_eps_x / den
+    return beta_y, alpha_y, sigma2_eps_y, defined
+
+
 def convert_reverse_to_forward(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
     """Map reverse-regression parameters to forward-regression ones.
 
@@ -109,15 +135,29 @@ def convert_reverse_to_forward(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
         raise DomainError("var_y must be positive")
     if sigma2_eps_x < 0.0:
         raise DomainError("sigma2_eps_x must be nonnegative")
-    den = sigma2_eps_x + beta_x * beta_x * var_y
-    if den == 0.0:
-        raise DegenerateInput(
-            "reverse fit is deterministic with zero slope; conversion undefined"
-        )
-    beta_y = beta_x * var_y / den
-    alpha_y = (sigma2_eps_x * mean_y - alpha_x * beta_x * var_y) / den
-    sigma2_eps_y = var_y * sigma2_eps_x / den
-    return beta_y, alpha_y, sigma2_eps_y
+    beta_y, alpha_y, sigma2_eps_y, defined = _forward_rows(
+        beta_x, alpha_x, sigma2_eps_x, mean_y, var_y
+    )
+    if not defined:
+        raise DegenerateInput(_CONVERSION_UNDEFINED)
+    return float(beta_y), float(alpha_y), float(sigma2_eps_y)
+
+
+def _se_rows(
+    beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, n_full
+):
+    """The delta-method SE entry by entry, with a mask of the defined entries.
+
+    Powers go through np.float_power, which is C pow like Python's float
+    **; np.power's SIMD loop can round differently in the last bit.
+    """
+    r = sigma2_eps_x_hat / var_y_tilde
+    b2 = beta_x_hat * beta_x_hat
+    den = np.float_power(r + b2, 4)
+    num = np.float_power(r - b2, 2) * np.float_power(
+        se_beta_x, 2
+    ) + 2.0 * b2 * r * r * (1.0 / (n_selected - 2) + 1.0 / (n_full - 1))
+    return np.sqrt(num / (den + (den == 0.0))), den != 0.0
 
 
 def se_beta_y(beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, n_full):
@@ -136,61 +176,146 @@ def se_beta_y(beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, 
         raise DomainError("var_y_tilde must be positive")
     if sigma2_eps_x_hat < 0.0 or se_beta_x < 0.0:
         raise DomainError("variance inputs must be nonnegative")
-    r = sigma2_eps_x_hat / var_y_tilde
-    b2 = beta_x_hat * beta_x_hat
-    den = (r + b2) ** 4
-    if den == 0.0:
-        raise DegenerateInput("collapsed denominator in the slope variance")
-    num = (r - b2) ** 2 * se_beta_x**2 + 2.0 * b2 * r * r * (
-        1.0 / (n_selected - 2) + 1.0 / (n_full - 1)
+    se, defined = _se_rows(
+        beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, n_full
     )
-    return math.sqrt(num / den)
+    if not defined:
+        raise DegenerateInput(_SLOPE_VARIANCE_COLLAPSED)
+    return float(se)
 
 
-def estimate(subset, full, confidence_level=0.95):
-    """Full inference pass: reverse fit, conversion, SE, CI, p-value.
+def check_slope_ceiling(beta_y, var_y, sigma2_eps_x):
+    """Check |beta_y| <= sd_y / (2 sd_eps_x) wherever sigma2_eps_x > 0.
 
-    The confidence interval uses the t quantile with n_selected - 2
-    degrees of freedom; the p-value is the reverse-fit slope test, which
-    is exact for the forward null because both nulls coincide.
+    Every forward slope the conversion returns obeys this ceiling, by
+    AM-GM on its denominator. Entry by entry on scalars or arrays; a
+    breach (inputs that no conversion produced, or lost precision)
+    raises DomainError.
+    """
+    unchecked = sigma2_eps_x <= 0.0
+    # unchecked entries divide by one instead of zero
+    bound = np.sqrt(var_y) / (2.0 * np.sqrt(sigma2_eps_x + unchecked))
+    within = np.abs(beta_y) <= bound * (1.0 + 1e-12)
+    breach = (sigma2_eps_x > 0.0) & ~within
+    if breach.any():
+        slope, bound = np.broadcast_arrays(np.abs(beta_y), bound)
+        i = np.argmax(breach)
+        raise DomainError(
+            f"forward slope {float(slope.flat[i])!r} exceeds its ceiling "
+            f"sd_y / (2 sd_eps_x) = {float(bound.flat[i])!r}"
+        )
+
+
+@dataclass
+class EstimateRows:
+    """estimate() for one subset or many: entry i belongs to row i.
+
+    Fields are scalars for one subset and arrays for many. kept marks
+    the rows that have an estimate. The others were dropped by the
+    reverse fit (reverse_fit.degenerate), the conversion (converted) or
+    the slope variance (se_defined), checked in that order, and hold
+    meaningless values.
+    """
+
+    beta_y: np.ndarray
+    alpha_y: np.ndarray
+    sigma2_eps_y: np.ndarray
+    se_beta_y: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    p_value: np.ndarray
+    converted: np.ndarray
+    se_defined: np.ndarray
+    kept: np.ndarray
+    reverse_fit: regress.FitRows = field(repr=False)
+
+
+def estimate_rows(
+    responses, biomarkers, mean_y, var_y, n_full, confidence_level=0.95
+):
+    """Reverse fit, conversion, SE and CI of equal-size subsets.
+
+    responses and biomarkers are 1-D for one subset or (R, n_selected)
+    for R subsets, one per row. mean_y and var_y are the full-sample
+    response moments over n_full rows, shared by every row or one per
+    row; var_y must be positive, as FullResponseSummary ensures.
+    Argument errors and the slope ceiling raise; per-row failures only
+    clear kept.
     """
     if not 0.0 < confidence_level < 1.0:
         raise DomainError(
             f"confidence level must lie in (0, 1), got {confidence_level!r}"
         )
-    if subset.n_selected < 4:
+    n_selected = np.shape(responses)[-1]
+    if n_selected < 4:
         raise InsufficientData(
             "need at least 4 selected pairs for variance inference"
         )
-    if subset.n_selected > full.n_full:
+    if n_selected > n_full:
         raise DomainError("selected subset is larger than the full sample")
-    rev = regress.fit_simple(subset.pairs)
-    beta_y, alpha_y, sigma2_eps_y = convert_reverse_to_forward(
-        rev.slope, rev.intercept, rev.residual_variance, full.mean_y, full.var_y
+    rev = regress.fit_rows(responses, biomarkers)
+    beta_y, alpha_y, sigma2_eps_y, converted = _forward_rows(
+        rev.slope, rev.intercept, rev.residual_variance, mean_y, var_y
     )
-    se = se_beta_y(
+    se, se_defined = _se_rows(
         rev.slope,
         rev.se_slope,
         rev.residual_variance,
-        full.var_y,
-        subset.n_selected,
-        full.n_full,
+        var_y,
+        n_selected,
+        n_full,
     )
-    if rev.residual_variance > 0.0:
-        # algebraic ceiling |beta_y| <= sd_y / (2 sd_eps_x), by AM-GM on
-        # the conversion denominator
-        bound = math.sqrt(full.var_y) / (2.0 * math.sqrt(rev.residual_variance))
-        assert abs(beta_y) <= bound * (1.0 + 1e-12)
+    kept = ~rev.degenerate & converted & se_defined
+    check_slope_ceiling(
+        np.where(kept, beta_y, 0.0), var_y, rev.residual_variance
+    )
     t_mult = dist.t_quantile(
-        1.0 - (1.0 - confidence_level) / 2.0, subset.n_selected - 2
+        1.0 - (1.0 - confidence_level) / 2.0, n_selected - 2
     )
-    return OdebEstimate(
+    return EstimateRows(
         beta_y=beta_y,
         alpha_y=alpha_y,
         sigma2_eps_y=sigma2_eps_y,
         se_beta_y=se,
         ci_low=beta_y - t_mult * se,
         ci_high=beta_y + t_mult * se,
+        p_value=rev.p_value,
+        converted=converted,
+        se_defined=se_defined,
+        kept=kept,
+        reverse_fit=rev,
+    )
+
+
+def estimate(subset, full, confidence_level=0.95):
+    """Full inference pass: reverse fit, conversion, SE, CI, p-value.
+
+    estimate_rows on one subset. The confidence interval uses the
+    t quantile with n_selected - 2 degrees of freedom; the p-value is
+    the reverse-fit slope test, which is exact for the forward null
+    because both nulls coincide.
+    """
+    pairs = subset.pairs
+    rows = estimate_rows(
+        pairs.predictor,
+        pairs.response,
+        full.mean_y,
+        full.var_y,
+        full.n_full,
+        confidence_level,
+    )
+    rev = rows.reverse_fit.single()
+    if not rows.converted:
+        raise DegenerateInput(_CONVERSION_UNDEFINED)
+    if not rows.se_defined:
+        raise DegenerateInput(_SLOPE_VARIANCE_COLLAPSED)
+    return OdebEstimate(
+        beta_y=float(rows.beta_y),
+        alpha_y=float(rows.alpha_y),
+        sigma2_eps_y=float(rows.sigma2_eps_y),
+        se_beta_y=float(rows.se_beta_y),
+        ci_low=float(rows.ci_low),
+        ci_high=float(rows.ci_high),
         confidence_level=confidence_level,
         p_value=rev.p_value,
         reverse_fit=rev,

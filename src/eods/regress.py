@@ -57,57 +57,119 @@ class FitResult:
     residuals: np.ndarray = field(repr=False)
 
 
-def fit_simple(sample):
-    """Ordinary least squares for a PairedSample.
+@dataclass
+class FitRows:
+    """Least-squares fits of one sample or of many, one per row.
 
-    Sums are centered two-pass and use numpy's pairwise summation, so
-    results do not depend on evaluation order.
+    Fields are scalars for one sample and arrays for many, entry i
+    belonging to row i. A fit whose predictor has zero sample variance
+    is flagged in degenerate; its other fields are meaningless.
     """
-    if not isinstance(sample, PairedSample):
-        sample = PairedSample(*sample)
-    x = sample.predictor
-    y = sample.response
-    n = x.shape[0]
-    x_mean = float(np.mean(x))
-    y_mean = float(np.mean(y))
-    dx = x - x_mean
-    dy = y - y_mean
-    sxx = float(np.sum(dx * dx))
-    syy = float(np.sum(dy * dy))
-    sxy = float(np.sum(dx * dy))
-    if sxx <= 0.0:
-        raise DegenerateInput("predictor has zero sample variance")
+
+    intercept: np.ndarray
+    slope: np.ndarray
+    se_slope: np.ndarray
+    residual_variance: np.ndarray
+    df: int
+    t_stat: np.ndarray
+    p_value: np.ndarray
+    degenerate: np.ndarray
+    sums: tuple  # centered (sxx, syy, sxy)
+    residuals: np.ndarray = field(repr=False)
+
+    def single(self):
+        """The fit of one sample as a FitResult; DegenerateInput if none."""
+        if self.degenerate:
+            raise DegenerateInput("predictor has zero sample variance")
+        sxx, syy, sxy = (float(v) for v in self.sums)
+        r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
+        return FitResult(
+            intercept=float(self.intercept),
+            slope=float(self.slope),
+            se_slope=float(self.se_slope),
+            residual_variance=float(self.residual_variance),
+            df=self.df,
+            r_squared=r_squared,
+            t_stat=float(self.t_stat),
+            p_value=float(self.p_value),
+            residuals=self.residuals,
+        )
+
+
+def _slope_test(slope, se_slope, df):
+    """(t, two-sided p) of one fitted slope."""
+    if se_slope > 0.0:
+        t_stat = slope / se_slope
+        return t_stat, 2.0 * dist.t_cdf(-abs(t_stat), df)
+    if slope == 0.0:
+        return 0.0, 1.0
+    # exact fit with nonzero slope
+    return (math.inf if slope > 0 else -math.inf), 0.0
+
+
+def fit_rows(predictor, response):
+    """Ordinary least squares of response on predictor along the last axis.
+
+    1-D arrays are one sample; (R, n) arrays are R samples, one per row.
+    Sums are centered two-pass with numpy's pairwise summation, so a
+    row's fit depends neither on the other rows nor on evaluation order.
+    Each p-value is one scalar dist.t_cdf call.
+    """
+    x = np.asarray(predictor, dtype=float)
+    y = np.asarray(response, dtype=float)
+    n = x.shape[-1]
+    # np.add.reduce is np.sum (and, divided by n, np.mean) without their
+    # Python-level dispatch, which dominates for one short sample
+    total = np.add.reduce
+    x_mean = total(x, axis=-1) / n
+    y_mean = total(y, axis=-1) / n
+    dx = x - x_mean[..., None]
+    dy = y - y_mean[..., None]
+    sxx = total(dx * dx, axis=-1)
+    syy = total(dy * dy, axis=-1)
+    sxy = total(dx * dy, axis=-1)
+    degenerate = sxx <= 0.0
+    # a zero sum of squares becomes one, so degenerate rows, whose values
+    # are never used, divide without a warning
+    sxx = sxx + degenerate
 
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
-    residuals = y - (intercept + slope * x)
-    rss = float(np.sum(residuals * residuals))
+    residuals = y - (intercept[..., None] + slope[..., None] * x)
+    rss = total(residuals * residuals, axis=-1)
     df = n - 2
     residual_variance = rss / df
-    se_slope = math.sqrt(residual_variance / sxx)
-    r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
+    se_slope = np.sqrt(residual_variance / sxx)
 
-    if se_slope > 0.0:
-        t_stat = slope / se_slope
-        p_value = 2.0 * dist.t_cdf(-abs(t_stat), df)
-    elif slope == 0.0:
-        t_stat = 0.0
-        p_value = 1.0
-    else:
-        # exact fit with nonzero slope
-        t_stat = math.inf if slope > 0 else -math.inf
-        p_value = 0.0
-    return FitResult(
+    t_stat = np.empty(np.shape(slope))
+    p_value = np.empty(np.shape(slope))
+    rows = zip(
+        np.ravel(slope).tolist(),
+        np.ravel(se_slope).tolist(),
+        np.ravel(degenerate).tolist(),
+    )
+    for i, (b, se, skip) in enumerate(rows):
+        test = (math.nan, math.nan) if skip else _slope_test(b, se, df)
+        t_stat.flat[i], p_value.flat[i] = test
+    return FitRows(
         intercept=intercept,
         slope=slope,
         se_slope=se_slope,
         residual_variance=residual_variance,
         df=df,
-        r_squared=r_squared,
         t_stat=t_stat,
         p_value=p_value,
+        degenerate=degenerate,
+        sums=(sxx, syy, sxy),
         residuals=residuals,
     )
+
+
+def fit_simple(sample):
+    """Ordinary least squares for a PairedSample: fit_rows on one sample."""
+    if not isinstance(sample, PairedSample):
+        sample = PairedSample(*sample)
+    return fit_rows(sample.predictor, sample.response).single()
 
 
 def qq_points(values):

@@ -9,10 +9,20 @@ Determinism contract: every replicate derives its own generator from
 (seed, replicate_index, stream), so results are bit-identical for a
 fixed seed no matter how work is scheduled across processes. Stream 0
 drives data generation, stream 1 the random-sampling subset draw;
-scenarios differing only in sampling or estimator therefore see the
-same data replicate-for-replicate (paired comparison).
+scenarios differing only in sampling, estimator, gamma or alpha_level
+therefore see the same data replicate-for-replicate (paired comparison).
+
+The engine works on blocks of replicates, row r of a (rows, n_full)
+array being one replicate; each row is still drawn from its own
+generator, so blocking changes no value. A block holds about
+_BLOCK_ELEMENTS values whatever n_full is, which bounds memory. run_grid
+groups the scenarios that share data, draws each group's blocks once
+and runs every scenario of the group on them; selection, fits and
+intervals are computed row-wise, and a replicate whose subset
+degenerates is dropped from its own scenario only.
 """
 
+import dataclasses
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +35,6 @@ from . import odeb, regress, screen
 from ._util import round_half_away_from_zero
 from .dist import t_quantile
 from .errors import (
-    DegenerateInput,
     DomainError,
     EodsError,
     Infeasible,
@@ -35,6 +44,8 @@ from .errors import (
 _FAMILIES = ("normal", "scaled_t", "shifted_lognormal")
 _SCALED_T_TOKEN = re.compile(r"^scaled_t\((\d+)\)$")
 _SEED_MAX = 2**64 - 1
+# Values per replicate block: rows = max(1, _BLOCK_ELEMENTS // n_full).
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass
@@ -57,30 +68,9 @@ class SimScenario:
     alpha_level: float = 0.05
 
     def __post_init__(self):
-        token = _SCALED_T_TOKEN.match(str(self.residual_family))
-        if token:
-            df = int(token.group(1))
-            if self.t_df is not None and int(self.t_df) != df:
-                raise DomainError(
-                    f"residual_family {self.residual_family!r} conflicts "
-                    f"with t_df={self.t_df!r}"
-                )
-            self.residual_family = "scaled_t"
-            self.t_df = df
-        if self.residual_family not in _FAMILIES:
-            raise DomainError(
-                f"unknown residual_family {self.residual_family!r}"
-            )
-        if self.residual_family == "scaled_t":
-            if self.t_df is None:
-                raise DomainError("scaled_t needs a degrees-of-freedom value")
-            self.t_df = int(self.t_df)
-            if self.t_df <= 2:
-                raise DomainError("scaled_t degrees of freedom must exceed 2")
-        elif self.t_df is not None:
-            raise DomainError(
-                f"t_df only applies to scaled_t, not {self.residual_family!r}"
-            )
+        self.residual_family, self.t_df = _residual_family(
+            self.residual_family, self.noise_variance, self.t_df
+        )
         self.n_full = int(self.n_full)
         self.replicates = int(self.replicates)
         self.seed = int(self.seed)
@@ -90,8 +80,6 @@ class SimScenario:
             raise DomainError("replicates must be at least 1")
         if not 0.0 < self.gamma <= 1.0:
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if not self.noise_variance > 0.0:
-            raise DomainError("noise_variance must be positive")
         if not self.x_var > 0.0:
             raise DomainError("x_var must be positive")
         if not 0.0 < self.alpha_level < 1.0:
@@ -184,6 +172,33 @@ def _solve_lognormal_sigma2(variance):
     return 0.5 * (lo + hi)
 
 
+def _residual_family(family, noise_variance, t_df):
+    """Checked (family, t_df) of a residual law; the one home of its rules.
+
+    The scaled_t(df) spelling carries its own df, which t_df, if given,
+    must repeat.
+    """
+    token = _SCALED_T_TOKEN.match(str(family))
+    if token:
+        df = int(token.group(1))
+        if t_df is not None and int(t_df) != df:
+            raise DomainError(
+                f"residual_family {family!r} conflicts with t_df={t_df!r}"
+            )
+        family, t_df = "scaled_t", df
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown residual_family {family!r}")
+    if not noise_variance > 0.0:
+        raise DomainError("noise_variance must be positive")
+    if family != "scaled_t":
+        if t_df is not None:
+            raise DomainError(f"t_df only applies to scaled_t, not {family!r}")
+        return family, None
+    if t_df is None or int(t_df) <= 2:
+        raise DomainError("scaled_t needs degrees of freedom above 2")
+    return family, int(t_df)
+
+
 def residual_sampler(family, noise_variance, t_df=None):
     """Build the centered-noise sampler for a residual family.
 
@@ -192,30 +207,17 @@ def residual_sampler(family, noise_variance, t_df=None):
     log-normal with log-mean 0 whose log-scale variance solves
     (e^s - 1) e^s = v, shifted by its mode e^{-s} so the mode sits at 0.
     """
-    if not noise_variance > 0.0:
-        raise DomainError("noise_variance must be positive")
-    if family == "normal":
-        if t_df is not None:
-            raise DomainError("t_df only applies to scaled_t")
-        return ResidualSampler(family="normal", noise_variance=noise_variance)
-    if family == "scaled_t":
-        if t_df is None or int(t_df) <= 2:
-            raise DomainError("scaled_t needs degrees of freedom above 2")
-        return ResidualSampler(
-            family="scaled_t", noise_variance=noise_variance, t_df=int(t_df)
-        )
-    if family == "shifted_lognormal":
-        if t_df is not None:
-            raise DomainError("t_df only applies to scaled_t")
-        sigma2 = _solve_lognormal_sigma2(noise_variance)
-        return ResidualSampler(
-            family="shifted_lognormal",
-            noise_variance=noise_variance,
-            sigma2_star=sigma2,
-            mode_shift=math.exp(-sigma2),
-            solver_tolerance=_LOGNORMAL_SOLVER_TOL,
-        )
-    raise DomainError(f"unknown residual_family {family!r}")
+    family, t_df = _residual_family(family, noise_variance, t_df)
+    if family != "shifted_lognormal":
+        return ResidualSampler(family, noise_variance, t_df)
+    sigma2 = _solve_lognormal_sigma2(noise_variance)
+    return ResidualSampler(
+        family="shifted_lognormal",
+        noise_variance=noise_variance,
+        sigma2_star=sigma2,
+        mode_shift=math.exp(-sigma2),
+        solver_tolerance=_LOGNORMAL_SOLVER_TOL,
+    )
 
 
 def _replicate_rng(seed, replicate_index, stream):
@@ -224,46 +226,189 @@ def _replicate_rng(seed, replicate_index, stream):
     )
 
 
+def _draw_block(scenario, sampler, first, rows):
+    """Replicates first .. first + rows - 1 as (rows, n_full) x and y."""
+    n = scenario.n_full
+    x = np.empty((rows, n))
+    eps = np.empty((rows, n))
+    for i in range(rows):
+        rng = _replicate_rng(scenario.seed, first + i, 0)
+        x[i] = rng.normal(scenario.x_mean, math.sqrt(scenario.x_var), n)
+        eps[i] = sampler.draw(rng, n)
+    return x, scenario.alpha_y + scenario.beta_y * x + eps
+
+
 def generate_dataset(scenario, replicate_index):
     """One replicate's (x, y) sample, deterministic in (seed, index)."""
     sampler = residual_sampler(
         scenario.residual_family, scenario.noise_variance, scenario.t_df
     )
-    rng = _replicate_rng(scenario.seed, replicate_index, 0)
-    x = rng.normal(scenario.x_mean, math.sqrt(scenario.x_var), scenario.n_full)
-    eps = sampler.draw(rng, scenario.n_full)
-    y = scenario.alpha_y + scenario.beta_y * x + eps
-    return x, y
+    x, y = _draw_block(scenario, sampler, replicate_index, 1)
+    return x[0], y[0]
 
 
-def _select_indices(scenario, y, replicate_index):
-    if scenario.sampling == "extreme":
-        plan = screen.select_extremes(y, scenario.gamma)
-        return np.asarray(plan.low_indices + plan.high_indices, dtype=int)
-    rng = _replicate_rng(scenario.seed, replicate_index, 1)
-    idx = rng.choice(scenario.n_full, size=scenario.n_selected, replace=False)
-    return np.sort(idx)
+def _extreme_indices(y, gamma, n_selected):
+    """screen.select_extremes row by row: sorted low tail, sorted high tail.
+
+    A partition finds each row's tails. A row where that choice is not
+    unique (a cut value also outside its tail, or both cuts equal) or
+    that holds a non-finite value goes to select_extremes, the one home
+    of the lower-index tie rule and of the finite check.
+    """
+    n = y.shape[1]
+    n_low = n_selected // 2
+    n_high = n_selected - n_low
+    order = np.argpartition(y, (n_low - 1, n - n_high), axis=1)
+    ranked = np.take_along_axis(y, order, axis=1)
+    low_cut = ranked[:, n_low - 1 : n_low]
+    high_cut = ranked[:, n - n_high : n - n_high + 1]
+    rest = ranked[:, n_low : n - n_high]
+    unclear = (
+        (low_cut[:, 0] == high_cut[:, 0])
+        | np.any(rest == low_cut, axis=1)
+        | np.any(rest == high_cut, axis=1)
+        | ~np.all(np.isfinite(y), axis=1)
+    )
+    low = np.sort(order[:, :n_low], axis=1)
+    high = np.sort(order[:, n - n_high :], axis=1)
+    idx = np.concatenate([low, high], axis=1)
+    for i in np.flatnonzero(unclear).tolist():
+        plan = screen.select_extremes(y[i], gamma)
+        idx[i] = plan.low_indices + plan.high_indices
+    return idx
 
 
-def _estimate_once(scenario, x, y, idx):
-    """(estimate, ci_low, ci_high, p_value) for one replicate's arm."""
-    x_sub = x[idx]
-    y_sub = y[idx]
-    confidence = 1.0 - scenario.alpha_level
-    if scenario.estimator == "ols":
-        fit = regress.fit_simple(
-            regress.PairedSample(predictor=x_sub, response=y_sub)
+def _random_indices(scenario, first, rows):
+    idx = np.empty((rows, scenario.n_selected), dtype=np.intp)
+    for i in range(rows):
+        rng = _replicate_rng(scenario.seed, first + i, 1)
+        idx[i] = np.sort(
+            rng.choice(scenario.n_full, size=scenario.n_selected, replace=False)
         )
+    return idx
+
+
+def _run_block(scenario, x, y, first, shared):
+    """(estimate, ci_low, ci_high, p_value) of a block's kept replicates.
+
+    shared caches, per block, what scenarios of one group can reuse: the
+    selected subsets and the full-response moments.
+    """
+    key = (scenario.sampling, scenario.n_selected)
+    if key not in shared:
+        if scenario.sampling == "extreme":
+            idx = _extreme_indices(y, scenario.gamma, scenario.n_selected)
+        else:
+            idx = _random_indices(scenario, first, x.shape[0])
+        shared[key] = (
+            np.take_along_axis(x, idx, axis=1),
+            np.take_along_axis(y, idx, axis=1),
+        )
+    x_sub, y_sub = shared[key]
+    if scenario.estimator == "ols":
+        fit = regress.fit_rows(x_sub, y_sub)
         half = t_quantile(1.0 - scenario.alpha_level / 2.0, fit.df) * (
             fit.se_slope
         )
-        return fit.slope, fit.slope - half, fit.slope + half, fit.p_value
-    full = odeb.FullResponseSummary.from_responses(y)
-    subset = odeb.SelectedSubset.from_arrays(
-        x_sub, y_sub, len(idx) / scenario.n_full
+        kept = ~fit.degenerate
+        lo, hi = fit.slope - half, fit.slope + half
+        return fit.slope[kept], lo[kept], hi[kept], fit.p_value[kept]
+    if "moments" not in shared:
+        shared["moments"] = odeb.response_moments(y)
+    mean_y, var_y = shared["moments"]
+    full = var_y > 0.0
+    try:
+        est = odeb.estimate_rows(
+            y_sub[full],
+            x_sub[full],
+            mean_y[full],
+            var_y[full],
+            scenario.n_full,
+            1.0 - scenario.alpha_level,
+        )
+    except InsufficientData:
+        return (np.empty(0),) * 4
+    kept = est.kept
+    return (
+        est.beta_y[kept], est.ci_low[kept], est.ci_high[kept], est.p_value[kept]
     )
-    est = odeb.estimate(subset, full, confidence)
-    return est.beta_y, est.ci_low, est.ci_high, est.p_value
+
+
+def _metrics(scenario, blocks):
+    est, lo, hi, p = (np.concatenate(part) for part in zip(*blocks))
+    used = est.shape[0]
+    if used == 0:
+        nan = math.nan
+        return SimMetrics(nan, nan, nan, nan, nan, nan, nan, 0)
+    err = est - scenario.beta_y
+    mean_est = float(np.mean(est))
+    return SimMetrics(
+        mean_estimate=mean_est,
+        bias=mean_est - scenario.beta_y,
+        rmse=float(np.sqrt(np.mean(err * err))),
+        mae=float(np.median(np.abs(err))),
+        rejection_rate=float(np.mean(p <= scenario.alpha_level)),
+        ci_coverage=float(
+            np.mean((lo <= scenario.beta_y) & (scenario.beta_y <= hi))
+        ),
+        mean_ci_length=float(np.mean(hi - lo)),
+        replicates_used=used,
+    )
+
+
+# The fields a scenario may change without changing its data.
+_ARM_FIELDS = ("sampling", "estimator", "gamma", "alpha_level")
+
+
+def _data_key(scenario):
+    return tuple(
+        getattr(scenario, f.name)
+        for f in dataclasses.fields(scenario)
+        if f.name not in _ARM_FIELDS
+    )
+
+
+def _run_group(scenarios):
+    """Run scenarios that share one _data_key on the same replicate blocks.
+
+    Returns, per scenario, its SimMetrics or the EodsError that stopped
+    it; one scenario's error leaves the others running.
+    """
+    outcomes = [None] * len(scenarios)
+    blocks = {}
+    for i, s in enumerate(scenarios):
+        if s.n_selected < 3:
+            outcomes[i] = DomainError(
+                f"gamma {s.gamma!r} selects only {s.n_selected} "
+                f"of {s.n_full} rows; need 3"
+            )
+        else:
+            blocks[i] = []
+    data = scenarios[0]
+    if blocks:
+        try:
+            sampler = residual_sampler(
+                data.residual_family, data.noise_variance, data.t_df
+            )
+        except EodsError as exc:
+            outcomes = [exc if out is None else out for out in outcomes]
+            blocks = {}
+    rows = max(1, _BLOCK_ELEMENTS // data.n_full)
+    for first in range(0, data.replicates, rows):
+        if not blocks:
+            break
+        count = min(rows, data.replicates - first)
+        x, y = _draw_block(data, sampler, first, count)
+        shared = {}
+        for i in list(blocks):
+            try:
+                blocks[i].append(_run_block(scenarios[i], x, y, first, shared))
+            except EodsError as exc:
+                outcomes[i] = exc
+                del blocks[i]
+    for i, parts in blocks.items():
+        outcomes[i] = _metrics(scenarios[i], parts)
+    return outcomes
 
 
 def run_scenario(scenario):
@@ -273,58 +418,21 @@ def run_scenario(scenario):
     variance) are dropped and excluded from replicates_used; the run
     itself never aborts on one bad replicate.
     """
-    if scenario.n_selected < 3:
-        raise DomainError(
-            f"gamma {scenario.gamma!r} selects only {scenario.n_selected} "
-            f"of {scenario.n_full} rows; need 3"
-        )
-    estimates = []
-    covered = []
-    rejected = []
-    ci_lengths = []
-    for rep in range(scenario.replicates):
-        x, y = generate_dataset(scenario, rep)
-        try:
-            idx = _select_indices(scenario, y, rep)
-            est, lo, hi, p = _estimate_once(scenario, x, y, idx)
-        except (DegenerateInput, InsufficientData):
-            continue
-        estimates.append(est)
-        covered.append(lo <= scenario.beta_y <= hi)
-        rejected.append(p <= scenario.alpha_level)
-        ci_lengths.append(hi - lo)
-    used = len(estimates)
-    if used == 0:
-        nan = math.nan
-        return SimMetrics(nan, nan, nan, nan, nan, nan, nan, 0)
-    err = np.asarray(estimates) - scenario.beta_y
-    mean_est = float(np.mean(estimates))
-    return SimMetrics(
-        mean_estimate=mean_est,
-        bias=mean_est - scenario.beta_y,
-        rmse=float(np.sqrt(np.mean(err * err))),
-        mae=float(np.median(np.abs(err))),
-        rejection_rate=float(np.mean(rejected)),
-        ci_coverage=float(np.mean(covered)),
-        mean_ci_length=float(np.mean(ci_lengths)),
-        replicates_used=used,
-    )
-
-
-def _run_one(scenario):
-    try:
-        return GridResult(scenario=scenario, metrics=run_scenario(scenario))
-    except EodsError as exc:
-        return GridResult(scenario=scenario, metrics=None, error=str(exc))
+    (outcome,) = _run_group([scenario])
+    if isinstance(outcome, EodsError):
+        raise outcome
+    return outcome
 
 
 def run_grid(scenarios, workers=1):
     """Run a list of scenarios, emitting one result row per input row.
 
     Row order follows input order. A failing scenario yields a row with
-    its error message rather than aborting the grid. workers > 1 fans
-    scenarios out to processes; the per-replicate seeding makes output
-    identical for any worker count.
+    its error message rather than aborting the grid. Scenarios that
+    differ only in sampling, estimator, gamma or alpha_level form one
+    group and share its data draws; workers > 1 fans groups out to
+    processes, and the per-replicate seeding makes output identical for
+    any worker count.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -334,7 +442,21 @@ def run_grid(scenarios, workers=1):
     workers = int(workers)
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    if workers == 1 or len(scenarios) == 1:
-        return [_run_one(s) for s in scenarios]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, scenarios))
+    members = {}
+    for i, s in enumerate(scenarios):
+        members.setdefault(_data_key(s), []).append(i)
+    groups = [[scenarios[i] for i in m] for m in members.values()]
+    if workers == 1 or len(groups) == 1:
+        outcomes = [_run_group(g) for g in groups]
+    else:
+        workers = min(workers, len(groups))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_group, groups))
+    results = [None] * len(scenarios)
+    for indices, group_outcomes in zip(members.values(), outcomes):
+        for i, out in zip(indices, group_outcomes):
+            if isinstance(out, EodsError):
+                results[i] = GridResult(scenarios[i], None, str(out))
+            else:
+                results[i] = GridResult(scenarios[i], out)
+    return results

@@ -8,6 +8,7 @@ frozen here.
 import math
 
 import pytest
+import scipy.stats
 
 from eods import design
 from eods.design import (
@@ -67,6 +68,21 @@ def test_variance_inflation_monotone_and_bounded():
         assert cur < prev
         prev = cur
     assert abs(variance_inflation(1.0) - 1.0) < 1e-12
+
+
+def test_variance_inflation_tiny_gamma():
+    # 1 - gamma/2 rounds to 1 below gamma of about 1e-16, so z is taken
+    # from the lower tail
+    prev = math.inf
+    for gamma in (1e-17, 1e-16, 2e-16, 1e-12, 1e-6):
+        cur = variance_inflation(gamma)
+        assert math.isfinite(cur)
+        assert cur < prev, gamma
+        prev = cur
+    gamma = 1e-16
+    z = scipy.stats.norm.isf(gamma / 2.0)
+    want = (2.0 * z * scipy.stats.norm.pdf(z) + gamma) / gamma
+    assert abs(variance_inflation(gamma) - want) < TOL_VIF * want
 
 
 def test_variance_inflation_domain():

@@ -255,3 +255,17 @@ def test_check_model_skewed_residuals():
     subset = odeb.SelectedSubset.from_arrays(x, y, 0.2)
     diag = odeb.check_model(subset, rng.normal(0.0, 3.0, 800))
     assert diag.residual_skewness > 0.5
+
+
+def test_slope_ceiling_rejects_a_breach():
+    # sd_y / (2 sd_eps_x) = 1 / (2 * 1) = 0.5, so a slope of 2 breaches it
+    with pytest.raises(DomainError):
+        odeb.check_slope_ceiling(2.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        odeb.check_slope_ceiling(
+            np.array([0.1, -2.0]), 1.0, np.array([1.0, 1.0])
+        )
+    # on the ceiling, and an exact reverse fit (no ceiling), both pass
+    odeb.check_slope_ceiling(
+        np.array([0.5, -0.5, 7.0]), 1.0, np.array([1.0, 1.0, 0.0])
+    )

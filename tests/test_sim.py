@@ -1,12 +1,13 @@
 """Tests for the Monte Carlo engine."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from eods import sim
-from eods.errors import DomainError
+from eods import dist, odeb, regress, screen, sim
+from eods.errors import DegenerateInput, DomainError, InsufficientData
 
 # closed form for the lognormal scale when variance = 5:
 # (e^s - 1) e^s = 5 gives e^s = (1 + sqrt(21)) / 2
@@ -285,3 +286,144 @@ def test_run_grid_worker_count_invariance():
 def test_run_grid_empty_rejected():
     with pytest.raises(DomainError):
         sim.run_grid([])
+
+
+def _reference_metrics(scenario):
+    # the per-replicate loop through the one-replicate public functions
+    estimates, covered, rejected, lengths = [], [], [], []
+    for rep in range(scenario.replicates):
+        x, y = sim.generate_dataset(scenario, rep)
+        if scenario.sampling == "extreme":
+            plan = screen.select_extremes(y, scenario.gamma)
+            idx = np.asarray(plan.low_indices + plan.high_indices)
+        else:
+            rng = np.random.Generator(np.random.Philox([scenario.seed, rep, 1]))
+            idx = np.sort(
+                rng.choice(scenario.n_full, scenario.n_selected, replace=False)
+            )
+        try:
+            if scenario.estimator == "ols":
+                fit = regress.fit_simple(regress.PairedSample(x[idx], y[idx]))
+                half = dist.t_quantile(
+                    1.0 - scenario.alpha_level / 2.0, fit.df
+                ) * fit.se_slope
+                est, lo, hi = fit.slope, fit.slope - half, fit.slope + half
+                p = fit.p_value
+            else:
+                subset = odeb.SelectedSubset.from_arrays(
+                    x[idx], y[idx], len(idx) / scenario.n_full
+                )
+                full = odeb.FullResponseSummary.from_responses(y)
+                e = odeb.estimate(subset, full, 1.0 - scenario.alpha_level)
+                est, lo, hi, p = e.beta_y, e.ci_low, e.ci_high, e.p_value
+        except (DegenerateInput, InsufficientData):
+            continue
+        estimates.append(est)
+        covered.append(lo <= scenario.beta_y <= hi)
+        rejected.append(p <= scenario.alpha_level)
+        lengths.append(hi - lo)
+    err = np.asarray(estimates) - scenario.beta_y
+    mean = float(np.mean(estimates))
+    return sim.SimMetrics(
+        mean_estimate=mean,
+        bias=mean - scenario.beta_y,
+        rmse=float(np.sqrt(np.mean(err * err))),
+        mae=float(np.median(np.abs(err))),
+        rejection_rate=float(np.mean(rejected)),
+        ci_coverage=float(np.mean(covered)),
+        mean_ci_length=float(np.mean(lengths)),
+        replicates_used=len(estimates),
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(),
+        dict(estimator="ols", residual_family="scaled_t(5)"),
+        dict(sampling="random", residual_family="shifted_lognormal"),
+        dict(sampling="random", estimator="ols", n_full=3000, gamma=0.01),
+    ],
+)
+def test_run_scenario_matches_per_replicate_loop(overrides):
+    s = _scenario(replicates=12, **overrides)
+    assert sim.run_scenario(s) == _reference_metrics(s)
+
+
+def test_block_selection_matches_select_extremes(monkeypatch):
+    calls = []
+    select_extremes = screen.select_extremes
+
+    def spy(y, gamma):
+        calls.append(y.tolist())
+        return select_extremes(y, gamma)
+
+    monkeypatch.setattr(screen, "select_extremes", spy)
+    distinct = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 4.0, 6.0, 0.0]
+    tied_rows = [
+        [3.0, 1.0, 9.0, 1.0, 7.0, 0.0, 8.0, 4.0, 6.0, 5.0],  # low cut
+        [3.0, 8.0, 9.0, 1.0, 7.0, 0.0, 8.0, 4.0, 6.0, 5.0],  # high cut
+        [5.0, 5.0, 9.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0, 5.0],  # both cuts
+    ]
+    block = np.array([distinct] + tied_rows + [distinct[::-1]])
+    idx = sim._extreme_indices(block, 0.4, 4)
+    for row, got in zip(block, idx):
+        plan = select_extremes(row, 0.4)
+        assert got.tolist() == plan.low_indices + plan.high_indices
+    assert calls == tied_rows
+
+    calls.clear()
+    block = np.array([distinct, [2.0] * 10])
+    idx = sim._extreme_indices(block, 1.0, 10)
+    for row, got in zip(block, idx):
+        plan = select_extremes(row, 1.0)
+        assert got.tolist() == plan.low_indices + plan.high_indices
+    assert calls == [[2.0] * 10]
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    grid = [
+        _scenario(replicates=30, sampling=samp, estimator=est)
+        for samp in ("extreme", "random")
+        for est in ("odeb", "ols")
+    ]
+    default = [sim.run_scenario(s) for s in grid]
+    monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1)  # one row per block
+    assert [sim.run_scenario(s) for s in grid] == default
+
+
+def test_run_grid_groups_shared_data_in_input_order():
+    grid = [
+        _scenario(
+            n_full=n, beta_y=b, gamma=g, sampling=samp, estimator=est,
+            alpha_level=a, replicates=20, seed=31,
+        )
+        for n in (60, 100)
+        for b in (0.0, 0.4)
+        for g, a in ((0.2, 0.05), (0.3, 0.1))
+        for samp in ("extreme", "random")
+        for est in ("odeb", "ols")
+    ]
+    grid.append(_scenario(n_full=60, gamma=0.02, replicates=20, seed=31))
+    random.Random(4).shuffle(grid)
+    want = []
+    for s in grid:
+        try:
+            want.append(sim.GridResult(s, sim.run_scenario(s)))
+        except DomainError as exc:
+            want.append(sim.GridResult(s, None, str(exc)))
+    assert sum(r.error is not None for r in want) == 1
+    assert sim.run_grid(grid, workers=1) == want
+    assert sim.run_grid(grid, workers=3) == want
+
+
+def test_drops_are_per_scenario_within_a_group():
+    # 3 selected rows drop every odeb replicate; the ols arm on the same
+    # data keeps them all
+    odeb_arm = _scenario(n_full=15, gamma=0.2, replicates=20)
+    ols_arm = _scenario(n_full=15, gamma=0.2, replicates=20, estimator="ols")
+    rows = sim.run_grid([odeb_arm, ols_arm])
+    assert [r.error for r in rows] == [None, None]
+    assert rows[0].metrics.replicates_used == 0
+    assert rows[1].metrics.replicates_used == 20
+    assert rows[1].metrics == sim.run_scenario(ols_arm)
