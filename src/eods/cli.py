@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import design, odeb, screen, sim
-from ._util import round_half_away_from_zero
 from .errors import (
     ConfigError,
     DomainError,
@@ -266,15 +265,13 @@ def cmd_plan(args):
     alpha = args.alpha
 
     if args.n_full is not None and args.gamma is not None:
-        result = design.power_eods(
-            design.DesignSpec(args.n_full, args.gamma, effect_f, alpha)
-        )
-        n_selected = round_half_away_from_zero(args.gamma * args.n_full)
+        spec = design.DesignSpec(args.n_full, args.gamma, effect_f, alpha)
+        result = design.power_eods(spec)
         print(
             f"n_full {args.n_full}, gamma {_fmt(args.gamma)}, "
             f"effect_f {_fmt(effect_f)}, alpha {_fmt(alpha)}"
         )
-        print(f"{_select_phrase(n_selected)}, power {result.power:.4f}")
+        print(f"{_select_phrase(spec.n_selected)}, power {result.power:.4f}")
     elif args.n_full is not None:
         gamma, n_selected, power = design.min_gamma_for_power(
             args.n_full, effect_f, alpha, args.target_power
@@ -289,16 +286,14 @@ def cmd_plan(args):
         n_full = design.min_nfull_for_power(
             args.gamma, effect_f, alpha, args.target_power
         )
-        result = design.power_eods(
-            design.DesignSpec(n_full, args.gamma, effect_f, alpha)
-        )
-        n_selected = round_half_away_from_zero(args.gamma * n_full)
+        spec = design.DesignSpec(n_full, args.gamma, effect_f, alpha)
+        result = design.power_eods(spec)
         print(
             f"gamma {_fmt(args.gamma)}, effect_f {_fmt(effect_f)}, "
             f"alpha {_fmt(alpha)}, target_power {_fmt(args.target_power)}"
         )
         print(f"n_full {n_full}")
-        print(f"{_select_phrase(n_selected)}, power {result.power:.4f}")
+        print(f"{_select_phrase(spec.n_selected)}, power {result.power:.4f}")
     return 0
 
 

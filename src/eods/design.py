@@ -13,11 +13,12 @@ Gamma is the total selected fraction throughout; a fraction p quoted
 per tail corresponds to gamma = 2p.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
 from . import dist
-from ._util import round_half_away_from_zero
+from ._util import check_alpha, check_gamma, round_half_away_from_zero
 from .errors import DomainError, Infeasible
 
 _MAX_N_FULL = 10_000_000
@@ -28,6 +29,12 @@ def _check_effect_f(effect_f):
         raise DomainError(
             f"effect_f must be finite and nonnegative, got {effect_f!r}"
         )
+
+
+def _check_target_power(target_power, alpha):
+    check_alpha(alpha)
+    if not alpha < target_power < 1.0:
+        raise DomainError("target power must lie in (alpha, 1)")
 
 
 @dataclass(frozen=True)
@@ -42,13 +49,15 @@ class DesignSpec:
     def __post_init__(self):
         if self.n_full < 5:
             raise DomainError(f"n_full must be at least 5, got {self.n_full!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+        check_gamma(self.gamma)
         _check_effect_f(self.effect_f)
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if round_half_away_from_zero(self.gamma * self.n_full) < 3:
+        check_alpha(self.alpha)
+        if self.n_selected < 3:
             raise DomainError("selected subset would have fewer than 3 subjects")
+
+    @property
+    def n_selected(self):
+        return round_half_away_from_zero(self.gamma * self.n_full)
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,7 @@ def variance_inflation(gamma):
     Decreasing in gamma, 1 at gamma = 1. Solving on the lower tail keeps
     z exact for tiny gamma, where 1 - gamma/2 would round to 1.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma!r}")
+    check_gamma(gamma)
     z = -dist.norm_quantile(gamma / 2.0)
     return (2.0 * z * dist.norm_pdf(z) + gamma) / gamma
 
@@ -89,8 +97,7 @@ def power_full(n, effect_f, alpha):
     if n < 4:
         raise DomainError(f"n must be at least 4, got {n!r}")
     _check_effect_f(effect_f)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     df2 = n - 2
     crit = dist.f_quantile_central(alpha, 1, df2)
     ncp = n * effect_f * effect_f
@@ -101,10 +108,7 @@ def power_eods(spec):
     """Power of the extreme-sampling design described by spec."""
     if not isinstance(spec, DesignSpec):
         spec = DesignSpec(*spec)
-    n_selected = round_half_away_from_zero(spec.gamma * spec.n_full)
-    df2 = n_selected - 2
-    if df2 < 1:
-        raise DomainError("selected subset leaves no residual degrees of freedom")
+    df2 = spec.n_selected - 2
     vif = variance_inflation(spec.gamma)
     ncp = spec.n_full * spec.effect_f**2 * spec.gamma * vif
     crit = dist.f_quantile_central(spec.alpha, 1, df2)
@@ -114,76 +118,66 @@ def power_eods(spec):
     )
 
 
+def _smallest_meeting(meets, lo, cap):
+    """Smallest n in [lo, cap] with meets(n), or None if cap falls short.
+
+    meets must be monotone in n. Doubling from lo brackets the answer
+    just above a point that falls short; bisecting range(hi), whose
+    index is n itself, closes the bracket with no walk down.
+    """
+    short, hi = lo - 1, lo
+    while not meets(hi):
+        if hi == cap:
+            return None
+        short, hi = hi, min(2 * hi, cap)
+    return bisect.bisect_left(range(hi), True, lo=short + 1, key=meets)
+
+
 def min_gamma_for_power(n_full, effect_f, alpha, target_power):
     """Smallest even selected-subset size meeting the power target.
 
-    Scans n_selected = 4, 6, 8, ... (half per tail) at fixed n_full and
-    returns (gamma, n_selected, achieved_power) for the first size whose
-    extreme-design power reaches target_power. Infeasible if even full
+    Brackets and bisects n_selected = 2h (h per tail, h >= 2) at fixed
+    n_full; returns (gamma, n_selected, achieved_power), full sampling
+    for an odd n_full that no even size serves. Infeasible if even full
     sampling (gamma = 1) cannot reach the target.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not alpha < target_power < 1.0:
-        raise DomainError("target power must lie in (alpha, 1)")
+    _check_target_power(target_power, alpha)
     full = power_eods(DesignSpec(n_full, 1.0, effect_f, alpha))
     if full.power < target_power:
         raise Infeasible(
             f"even full sampling yields power {full.power:.4f} "
             f"below the target {target_power:.4f}"
         )
-    for n_selected in range(4, n_full + 1, 2):
-        gamma = n_selected / n_full
-        result = power_eods(DesignSpec(n_full, gamma, effect_f, alpha))
-        if result.power >= target_power:
-            return gamma, n_selected, result.power
-    # n_full odd and no even size reached the target: full sampling did
-    return 1.0, n_full, full.power
+
+    def power_at(half):
+        spec = DesignSpec(n_full, 2 * half / n_full, effect_f, alpha)
+        return power_eods(spec).power
+
+    half = _smallest_meeting(lambda h: power_at(h) >= target_power, 2, n_full // 2)
+    if half is None:
+        return 1.0, n_full, full.power
+    return 2 * half / n_full, 2 * half, power_at(half)
 
 
 def min_nfull_for_power(gamma, effect_f, alpha, target_power):
     """Smallest n_full meeting the power target at a fixed gamma.
 
-    Exponential bracketing followed by bisection; a short downward walk
-    at the end absorbs any local wobble where round(gamma * n) jumps.
+    Brackets and bisects over the n_full >= 5 that select at least 3
+    subjects. Infeasible if no n_full up to 10,000,000 reaches the target.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not alpha < target_power < 1.0:
-        raise DomainError("target power must lie in (alpha, 1)")
+    check_gamma(gamma)
+    _check_target_power(target_power, alpha)
 
-    def valid(n):
-        return n >= 5 and round_half_away_from_zero(gamma * n) >= 3
+    def meets(n):
+        if round_half_away_from_zero(gamma * n) < 3:
+            return False
+        spec = DesignSpec(n, gamma, effect_f, alpha)
+        return power_eods(spec).power >= target_power
 
-    def power_at(n):
-        return power_eods(DesignSpec(n, gamma, effect_f, alpha)).power
-
-    n_min = 5
-    while not valid(n_min):
-        n_min += 1
-
-    if power_at(n_min) >= target_power:
-        return n_min
-    lo, hi = n_min, n_min
-    while power_at(hi) < target_power:
-        lo = hi
-        hi = min(hi * 2, _MAX_N_FULL)
-        if hi == lo:
-            raise Infeasible(
-                f"no design up to n_full = {_MAX_N_FULL} reaches power "
-                f"{target_power:.4f}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if power_at(mid) >= target_power:
-            hi = mid
-        else:
-            lo = mid
-    for _ in range(64):
-        if hi - 1 >= n_min and valid(hi - 1) and power_at(hi - 1) >= target_power:
-            hi -= 1
-        else:
-            break
-    return hi
+    n_full = _smallest_meeting(meets, 5, _MAX_N_FULL)
+    if n_full is None:
+        raise Infeasible(
+            f"no design up to n_full = {_MAX_N_FULL} reaches power "
+            f"{target_power:.4f}"
+        )
+    return n_full

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._util import check_alpha
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -209,8 +210,7 @@ def f_quantile_central(alpha_upper, df1, df2):
 
     Returns x with P(F > x) = alpha_upper.
     """
-    if not 0.0 < alpha_upper < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha_upper!r}")
+    check_alpha(alpha_upper)
     if not (df1 > 0 and df2 > 0):
         raise DomainError("degrees of freedom must be positive")
     p = 1.0 - alpha_upper

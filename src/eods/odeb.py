@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dist, regress
+from ._util import check_gamma
 from .errors import DegenerateInput, DomainError, InsufficientData
 
 
@@ -65,8 +66,7 @@ class SelectedSubset:
     def __post_init__(self):
         if len(self.pairs) != self.n_selected:
             raise DomainError("n_selected does not match the number of pairs")
-        if not 0.0 < self.gamma <= 1.0:
-            raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+        check_gamma(self.gamma)
 
     @classmethod
     def from_arrays(cls, biomarker, response, gamma):

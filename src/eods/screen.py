@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from . import odeb
-from ._util import round_half_away_from_zero
+from ._util import check_gamma, round_half_away_from_zero
 from .errors import DegenerateInput, DomainError, InsufficientData
 
 
@@ -54,8 +54,7 @@ def select_extremes(responses, gamma):
     n = y.shape[0]
     if not bool(np.all(np.isfinite(y))):
         raise DomainError("responses must be finite")
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma!r}")
+    check_gamma(gamma)
     if n < 5:
         raise DomainError(f"need at least 5 responses, got {n}")
     n_selected = round_half_away_from_zero(gamma * n)

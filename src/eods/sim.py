@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import odeb, regress, screen
-from ._util import round_half_away_from_zero
+from ._util import check_gamma, round_half_away_from_zero
 from .dist import t_quantile
 from .errors import (
     DomainError,
@@ -78,8 +78,7 @@ class SimScenario:
             raise DomainError(f"n_full must be at least 5, got {self.n_full}")
         if self.replicates < 1:
             raise DomainError("replicates must be at least 1")
-        if not 0.0 < self.gamma <= 1.0:
-            raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+        check_gamma(self.gamma)
         if not self.x_var > 0.0:
             raise DomainError("x_var must be positive")
         if not 0.0 < self.alpha_level < 1.0:

@@ -458,6 +458,18 @@ def test_plan_infeasible_target_reported(capsys):
     assert "full sampling" in capsys.readouterr().err
 
 
+def test_plan_tiny_gamma_infeasible_within_time():
+    # no n_full up to the search cap selects 3 subjects at this gamma
+    proc = subprocess.run(
+        [sys.executable, "-m", "eods.cli", "plan", "--gamma", "1e-9",
+         "--effect-f", "0.1", "--target-power", "0.8"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "no design up to n_full = 10000000 reaches power" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -------------------------------------------------------------- screen
 
 

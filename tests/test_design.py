@@ -196,6 +196,87 @@ def test_min_gamma_feasibility_boundary():
     assert achieved >= cap - 1e-6
 
 
+def _scan_min_gamma(n_full, effect_f, alpha, target_power):
+    """Every even subset size in turn: the reference for the bisection."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not alpha < target_power < 1.0:
+        raise DomainError("target power must lie in (alpha, 1)")
+    full = power_eods(DesignSpec(n_full, 1.0, effect_f, alpha))
+    if full.power < target_power:
+        raise Infeasible(
+            f"even full sampling yields power {full.power:.4f} "
+            f"below the target {target_power:.4f}"
+        )
+    for n_selected in range(4, n_full + 1, 2):
+        gamma = n_selected / n_full
+        result = power_eods(DesignSpec(n_full, gamma, effect_f, alpha))
+        if result.power >= target_power:
+            return gamma, n_selected, result.power
+    # n_full odd and no even size reached the target: full sampling did
+    return 1.0, n_full, full.power
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except (DomainError, Infeasible) as exc:
+        return type(exc), str(exc)
+
+
+def test_power_eods_monotone_in_even_selection_and_n_full():
+    # the bracketing searches rely on both orderings
+    for f, alpha in ((0.1, 0.05), (0.3, 5e-8), (0.6, 0.01)):
+        for n_full in (10, 51, 200, 333):
+            powers = [
+                power_eods(DesignSpec(n_full, k / n_full, f, alpha)).power
+                for k in range(4, n_full + 1, 2)
+            ]
+            assert all(b >= a for a, b in zip(powers, powers[1:])), (n_full, f)
+    for f, alpha in ((0.1, 0.05), (0.3, 5e-8)):
+        for gamma in (0.05, 0.19, 0.5, 1.0):
+            powers = [
+                power_eods(DesignSpec(n, gamma, f, alpha)).power
+                for n in range(5, 301)
+                if design.round_half_away_from_zero(gamma * n) >= 3
+            ]
+            assert all(b >= a for a, b in zip(powers, powers[1:])), (gamma, f)
+
+
+def test_min_gamma_matches_linear_scan():
+    cells = [
+        (n_full, f, alpha, target)
+        for n_full in (10, 51, 200, 2001)
+        for f in (0.08, 0.15, 0.3, 0.6)
+        for alpha in (0.05, 5e-8)
+        for target in (0.5, 0.9)
+    ]
+    # odd n_full that no even size serves, so full sampling answers
+    cap = power_eods(DesignSpec(51, 1.0, 0.3, 0.05)).power
+    cells.append((51, 0.3, 0.05, cap - 1e-9))
+    cells += [(4, 0.3, 0.05, 0.9), (200, 0.3, 0.05, 0.05), (200, 0.3, 0.05, 1.0)]
+    want = {cell: _outcome(_scan_min_gamma, *cell) for cell in cells}
+    for cell in cells:
+        assert _outcome(min_gamma_for_power, *cell) == want[cell], cell
+    assert want[(51, 0.3, 0.05, cap - 1e-9)][:2] == (1.0, 51)
+    assert want[(10, 0.08, 0.05, 0.9)][0] is Infeasible
+    assert want[(4, 0.3, 0.05, 0.9)][0] is DomainError
+
+
+def test_min_gamma_power_evaluations_at_100k(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return power_eods(spec)
+
+    monkeypatch.setattr(design, "power_eods", counted)
+    gamma, n_selected, achieved = min_gamma_for_power(100000, 0.012, 0.05, 0.90)
+    assert n_selected == 25468
+    assert achieved >= 0.90
+    assert len(calls) <= 40
+
+
 def test_min_gamma_monotone_in_effect():
     sizes = [
         min_gamma_for_power(200, f, 0.05, 0.80)[1]
