@@ -82,14 +82,20 @@ def variance_inflation(gamma):
     """Variance of the two-tail-selected response relative to the full one.
 
     Equals 2 * integral_z^inf x^2 (1/gamma) phi(x) dx with
-    z = -norm_quantile(gamma/2), the upper gamma/2 point; the closed form
-    below follows from the truncated-tail second moment identity.
+    z = -norm_quantile(gamma/2), the upper gamma/2 point.
     Decreasing in gamma, 1 at gamma = 1. Solving on the lower tail keeps
     z exact for tiny gamma, where 1 - gamma/2 would round to 1.
     """
     check_gamma(gamma)
     z = -dist.norm_quantile(gamma / 2.0)
-    return (2.0 * z * dist.norm_pdf(z) + gamma) / gamma
+    return 2.0 * dist.truncated_tail_second_moment(z) / gamma
+
+
+def _slope_test_power(alpha, df2, ncp):
+    # The F(1, df2) upper-alpha point is the squared two-sided t point,
+    # solved on the lower tail so a tiny alpha keeps its digits.
+    crit = dist.t_quantile(alpha / 2.0, df2) ** 2
+    return 1.0 - dist.f_cdf_noncentral(crit, dist.NoncentralFParams(1, df2, ncp))
 
 
 def power_full(n, effect_f, alpha):
@@ -98,10 +104,7 @@ def power_full(n, effect_f, alpha):
         raise DomainError(f"n must be at least 4, got {n!r}")
     _check_effect_f(effect_f)
     check_alpha(alpha)
-    df2 = n - 2
-    crit = dist.f_quantile_central(alpha, 1, df2)
-    ncp = n * effect_f * effect_f
-    return 1.0 - dist.f_cdf_noncentral(crit, dist.NoncentralFParams(1, df2, ncp))
+    return _slope_test_power(alpha, n - 2, n * effect_f * effect_f)
 
 
 def power_eods(spec):
@@ -111,8 +114,7 @@ def power_eods(spec):
     df2 = spec.n_selected - 2
     vif = variance_inflation(spec.gamma)
     ncp = spec.n_full * spec.effect_f**2 * spec.gamma * vif
-    crit = dist.f_quantile_central(spec.alpha, 1, df2)
-    power = 1.0 - dist.f_cdf_noncentral(crit, dist.NoncentralFParams(1, df2, ncp))
+    power = _slope_test_power(spec.alpha, df2, ncp)
     return PowerResult(
         power=power, ncp=ncp, df1=1, df2=df2, variance_inflation=vif
     )

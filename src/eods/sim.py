@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import odeb, regress, screen
-from ._util import check_gamma, round_half_away_from_zero
+from ._util import check_alpha, check_gamma, round_half_away_from_zero
 from .dist import t_quantile
 from .errors import (
     DomainError,
@@ -81,8 +81,7 @@ class SimScenario:
         check_gamma(self.gamma)
         if not self.x_var > 0.0:
             raise DomainError("x_var must be positive")
-        if not 0.0 < self.alpha_level < 1.0:
-            raise DomainError("alpha_level must lie strictly in (0, 1)")
+        check_alpha(self.alpha_level)
         if self.sampling not in ("extreme", "random"):
             raise DomainError(f"unknown sampling {self.sampling!r}")
         if self.estimator not in ("ols", "odeb"):

@@ -1,13 +1,16 @@
 """Checks for the probability kernels.
 
 Reference values were computed once with an independent implementation
-(scipy.stats / scipy.special / adaptive quadrature) and frozen here.
+(scipy.stats / scipy.special / adaptive quadrature) and frozen here;
+the tail sweeps call SciPy directly.
 """
 
 import math
 import random
 
 import pytest
+import scipy.special
+import scipy.stats
 
 from eods import dist
 from eods.errors import DomainError
@@ -16,7 +19,11 @@ TOL_PDF = 1e-15
 TOL_CDF = 1e-12
 TOL_QUANTILE = 1e-8
 TOL_SERIES = 1e-9
-TOL_IDENTITY = 1e-9
+# relative, against SciPy: AS 241 is good to a few ulps; the t and F
+# quantiles meet the package's stated 1e-10
+TOL_NORM_Q_REL = 4e-15
+TOL_T_Q_REL = 1e-10
+TOL_TAIL_MOMENT_REL = 1e-13
 
 # Frozen references.
 REF_NORM_PDF_0 = 0.3989422804014327
@@ -49,6 +56,18 @@ def test_norm_quantile_values():
     assert dist.norm_quantile(0.5) == 0.0
     assert abs(dist.norm_quantile(0.95) - REF_NORM_Q_095) < TOL_QUANTILE
     assert abs(dist.norm_quantile(0.975) - REF_NORM_Q_0975) < TOL_QUANTILE
+
+
+def test_norm_quantile_matches_ndtri():
+    # the n = 20000 plotting positions of qq_points, and both tails
+    n = 20000
+    ps = [(i - 0.5) / n for i in range(1, n + 1)]
+    ps += [10.0**-k for k in range(1, 301)]
+    ps += [1.0 - 10.0**-k for k in range(1, 16)]
+    for p in ps:
+        want = float(scipy.special.ndtri(p))
+        got = dist.norm_quantile(p)
+        assert abs(got - want) <= TOL_NORM_Q_REL * abs(want), (p, got, want)
 
 
 def test_norm_quantile_domain():
@@ -99,7 +118,25 @@ def test_t_quantile_values():
     assert dist.t_quantile(0.5, 7) == 0.0
     assert abs(dist.t_quantile(0.975, 18) - REF_T_Q_0975_18) < TOL_QUANTILE
     assert abs(dist.t_quantile(0.975, 1e6) - REF_NORM_Q_0975) < 1e-3
-    assert dist.t_quantile(0.025, 18) == -dist.t_quantile(0.975, 18)
+    assert abs(dist.t_quantile(0.025, 18) + REF_T_Q_0975_18) < TOL_QUANTILE
+
+
+def test_t_quantile_matches_scipy_in_the_tails():
+    for p in (1e-100, 1e-15, 1e-12, 2.5e-8, 1e-4, 0.025, 0.3):
+        for df in (1, 2, 3, 5, 18, 200, 2000):
+            want = float(scipy.stats.t.ppf(p, df))
+            got = dist.t_quantile(p, df)
+            assert abs(got - want) <= TOL_T_Q_REL * abs(want), (p, df, got, want)
+
+
+def test_t_quantile_domain():
+    with pytest.raises(DomainError):
+        dist.t_quantile(0.0, 18)
+    with pytest.raises(DomainError):
+        dist.t_quantile(0.025, 0)
+    # the quantile, about -3.2e299, is past where x * x overflows
+    with pytest.raises(DomainError):
+        dist.t_quantile(1e-300, 1)
 
 
 def test_t_quantile_roundtrip():
@@ -111,20 +148,16 @@ def test_t_quantile_roundtrip():
         assert abs(dist.t_cdf(x, df) - p) < 1e-10
 
 
-def test_f_quantile_central_values():
-    assert abs(dist.f_quantile_central(0.05, 1, 18) - REF_F_Q_005_1_18) < TOL_QUANTILE
+def test_f_critical_value_is_t_squared():
+    # the F(1, d) upper-alpha point is the squared t point at alpha / 2
+    assert abs(dist.t_quantile(0.025, 18) ** 2 - REF_F_Q_005_1_18) < TOL_QUANTILE
     # large-df2 limit of F(1, d) is chi-square(1)
-    assert abs(dist.f_quantile_central(0.5, 1, 1e7) - REF_CHI2_1_MEDIAN) < 1e-3
-    # F(1, d) upper quantile equals the squared two-sided t quantile
-    tq = dist.t_quantile(0.975, 18)
-    assert abs(dist.f_quantile_central(0.05, 1, 18) - tq * tq) < TOL_IDENTITY
-
-
-def test_f_quantile_central_domain():
-    with pytest.raises(DomainError):
-        dist.f_quantile_central(0.0, 1, 18)
-    with pytest.raises(DomainError):
-        dist.f_quantile_central(0.05, 0, 18)
+    assert abs(dist.t_quantile(0.25, 1e7) ** 2 - REF_CHI2_1_MEDIAN) < 1e-3
+    for alpha in (5e-8, 1e-10):
+        for df in (1, 2):
+            want = float(scipy.stats.t.isf(alpha / 2.0, df)) ** 2
+            got = dist.t_quantile(alpha / 2.0, df) ** 2
+            assert abs(got - want) <= TOL_T_Q_REL * want, (alpha, df, got, want)
 
 
 def test_incomplete_beta_basics():
@@ -156,7 +189,8 @@ def test_ncf_params_validation():
 def test_ncf_reduces_to_central():
     for x in (0.3, 1.0, 2.5, 4.41, 9.0):
         a = dist.f_cdf_noncentral(x, dist.NoncentralFParams(1, 18, 0.0))
-        b = dist.f_cdf_central(x, 1, 18)
+        # F(1, d) is the square of a t(d) variable
+        b = 1.0 - 2.0 * dist.t_cdf(-math.sqrt(x), 18)
         assert abs(a - b) < 1e-14
 
 
@@ -191,6 +225,13 @@ def test_truncated_tail_second_moment():
     assert abs(dist.truncated_tail_second_moment(0.0) - 0.5) < 1e-15
     assert abs(dist.truncated_tail_second_moment(1.6449) - REF_TRUNC2ND_16449) < 1e-12
     assert dist.truncated_tail_second_moment(40.0) < 1e-300
+
+
+def test_truncated_tail_second_moment_far_tail():
+    for c in (8.0, 10.0, 20.0, 37.0):
+        want = c * scipy.stats.norm.pdf(c) + scipy.stats.norm.sf(c)
+        got = dist.truncated_tail_second_moment(c)
+        assert abs(got - want) <= TOL_TAIL_MOMENT_REL * want, (c, got, want)
 
 
 def test_truncated_tail_matches_simpson_quadrature():
