@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import operator
 import sys
 
 import numpy as np
@@ -32,6 +33,10 @@ from .errors import (
 )
 
 _MISSING_TOKENS = ("", "NA")
+# Values the loader converts and checks at a time. A block bounds the
+# cell text and Python floats held beside the parsed arrays; 2^16 raised
+# the peak memory of a 20000-row load by about 1 MiB.
+_BLOCK_VALUES = 2**14
 
 
 def _fmt(value):
@@ -46,24 +51,6 @@ def _fmt(value):
 
 
 # ---------------------------------------------------------------- input
-
-
-def _read_rows(path):
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise FileError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, a header row is required")
-        rows = list(reader)
-    if len(set(header)) != len(header):
-        dup = sorted({h for h in header if header.count(h) > 1})
-        raise SchemaError(f"{path}: duplicate column name {dup[0]!r}")
-    return header, rows
 
 
 def _parse_cell(text, line_no, column):
@@ -86,51 +73,134 @@ def _parse_cell(text, line_no, column):
     return value
 
 
+def _parse_rows(held, first_line, columns):
+    """The held rows through _parse_cell, raising the first error in order.
+
+    held lists each row's picked cells, the response first, from line
+    first_line on; columns names the cells. Returns the values row by row.
+    """
+    values = []
+    for line_no, cells in enumerate(held, start=first_line):
+        y = _parse_cell(cells[0], line_no, columns[0])
+        if math.isnan(y):
+            raise SchemaError(
+                f"line {line_no}: missing response in column "
+                f"{columns[0]!r}"
+            )
+        values.append(y)
+        values += [
+            _parse_cell(c, line_no, name)
+            for c, name in zip(cells[1:], columns[1:])
+        ]
+    return values
+
+
 def _load_study(path, response_column, biomarker_columns=None, log10=False):
-    """Responses plus biomarker columns, from one read of the file.
+    """Responses plus biomarker columns, from one streaming read of the file.
 
     Returns (responses, biomarkers): float64 arrays, biomarkers mapping
     column name to its values with NaN on rows where that biomarker was
     not tested. biomarker_columns None means every column except the
     response and 'id'. log10 transforms each biomarker's tested values.
     """
-    header, raw = _read_rows(path)
-    if biomarker_columns is None:
-        biomarker_columns = [
-            h for h in header if h not in (response_column, "id")
-        ]
-        if not biomarker_columns:
-            raise SchemaError(f"{path}: no biomarker columns found")
-    names = list(dict.fromkeys(biomarker_columns))
-    for name in [response_column, *names]:
-        if name not in header:
-            raise SchemaError(f"{path}: missing column {name!r}")
-    if not raw:
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise FileError(f"cannot read {path}: {exc}") from None
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, a header row is required")
+        if len(set(header)) != len(header):
+            dup = sorted({h for h in header if header.count(h) > 1})
+            raise SchemaError(f"{path}: duplicate column name {dup[0]!r}")
+        if biomarker_columns is None:
+            biomarker_columns = [
+                h for h in header if h not in (response_column, "id")
+            ]
+            if not biomarker_columns:
+                raise SchemaError(f"{path}: no biomarker columns found")
+        columns = [response_column, *dict.fromkeys(biomarker_columns)]
+        position = {name: i for i, name in enumerate(header)}
+        for name in columns:
+            if name not in position:
+                raise SchemaError(f"{path}: missing column {name!r}")
+        blocks = _read_blocks(reader, len(header), columns, position)
+    if not blocks:
         raise SchemaError(f"{path}: no data rows")
-    y_col = header.index(response_column)
-    cols = [(header.index(name), name) for name in names]
-    responses = np.empty(len(raw))
-    values = np.empty((len(names), len(raw)))
-    for i, row in enumerate(raw):
-        line_no = i + 2  # header is line 1
-        if len(row) != len(header):
-            raise SchemaError(
-                f"line {line_no}: expected {len(header)} fields, "
-                f"got {len(row)}"
+    # one (columns, rows) matrix: the responses, then one contiguous row
+    # per biomarker
+    table = np.concatenate([block.T for block in blocks], axis=1)
+    responses = table[0]
+    if responses.size > 1:  # one row has no sample variance
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, var_y = odeb.response_moments(responses)
+        if not np.isfinite(var_y):
+            raise DomainError(
+                f"{path}: the variance of response column "
+                f"{response_column!r} is beyond double range"
             )
-        y = _parse_cell(row[y_col], line_no, response_column)
-        if math.isnan(y):
-            raise SchemaError(
-                f"line {line_no}: missing response in column "
-                f"{response_column!r}"
-            )
-        responses[i] = y
-        values[:, i] = [_parse_cell(row[j], line_no, name) for j, name in cols]
-    biomarkers = dict(zip(names, values))
+    biomarkers = dict(zip(columns[1:], table[1:]))
     if log10:
         for name, column in biomarkers.items():
             _log10_in_place(column, name)
     return responses, biomarkers
+
+
+def _read_blocks(reader, width, columns, position):
+    """The data rows as (rows, len(columns)) float64 blocks, NaN = missing.
+
+    Each row's cells convert in one float() pass, and each block of
+    about _BLOCK_VALUES values is checked once. A failed float(),
+    a non-finite value that is not a missing token or a missing
+    response sends the block's rows through _parse_rows, which raises
+    the first error in file order or, for padded tokens such as " NA ",
+    returns the values.
+    """
+    pick = operator.itemgetter(*[position[name] for name in columns])
+    # local names: the loop below runs once per row
+    nan = math.nan
+    missing = _MISSING_TOKENS
+    empty, na = _MISSING_TOKENS
+    blocks = []
+    held, values, n_missing, first_line = [], [], 0, 2  # header is line 1
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != width:
+            _parse_rows(held, first_line, columns)
+            raise SchemaError(
+                f"line {line_no}: expected {width} fields, got {len(row)}"
+            )
+        cells = pick(row)
+        held.append(cells)
+        n_missing += cells.count(empty) + cells.count(na)
+        try:
+            values += [nan if c in missing else float(c) for c in cells]
+        except ValueError:
+            values = _parse_rows(held, first_line, columns)
+        if len(values) >= _BLOCK_VALUES:
+            blocks.append(
+                _checked_block(held, first_line, values, n_missing, columns)
+            )
+            held, values, n_missing, first_line = [], [], 0, line_no + 1
+    if held:
+        blocks.append(
+            _checked_block(held, first_line, values, n_missing, columns)
+        )
+    return blocks
+
+
+def _checked_block(held, first_line, values, n_missing, columns):
+    block = np.fromiter(values, float, len(values))
+    block = block.reshape(len(held), len(columns))
+    # every non-finite value must come from one of the n_missing missing
+    # tokens, and no response may be missing
+    non_finite = block.size - np.count_nonzero(np.isfinite(block))
+    if non_finite != n_missing or np.isnan(block[:, 0]).any():
+        values = _parse_rows(held, first_line, columns)
+        block = np.array(values).reshape(block.shape)
+    return block
 
 
 def _log10_in_place(column, biomarker_id):
@@ -146,14 +216,17 @@ def _log10_in_place(column, biomarker_id):
     column[tested] = [math.log10(v) for v in column[tested].tolist()]
 
 
-def _warn_if_not_extreme(responses, biomarker, label):
-    """The design needs the tested rows to be the response extremes."""
-    tested = ~np.isnan(biomarker)
+def _rows_inside(responses, tested):
+    """Tested rows strictly inside the untested response range."""
     untested = responses[~tested]
     if not untested.size:
-        return
+        return 0
     y = responses[tested]
-    inside = np.count_nonzero((untested.min() < y) & (y < untested.max()))
+    return np.count_nonzero((untested.min() < y) & (y < untested.max()))
+
+
+def _warn_if_not_extreme(inside, label):
+    """The design needs the tested rows to be the response extremes."""
     if inside:
         print(
             f"warning: {inside} tested row(s) for {label} lie strictly "
@@ -182,7 +255,10 @@ def cmd_analyze(args):
     full = odeb.FullResponseSummary.from_responses(responses)
     subset = odeb.SelectedSubset.from_tested(responses, values)
     est = odeb.estimate(subset, full, args.confidence)
-    _warn_if_not_extreme(responses, values, f"biomarker {args.biomarker!r}")
+    _warn_if_not_extreme(
+        _rows_inside(responses, ~np.isnan(values)),
+        f"biomarker {args.biomarker!r}",
+    )
     n_full = full.n_full
     n_selected = subset.n_selected
     gamma_effective = subset.gamma
@@ -319,11 +395,12 @@ def cmd_screen(args):
     )
     table = screen.screen_biomarkers(responses, biomarkers, args.confidence)
     failed = {row.biomarker_id for row in table if row.error is not None}
-    for biomarker_id, values in biomarkers.items():
+    inside = {}
+    for tested, positions in screen.tested_groups(list(biomarkers.values())):
+        inside.update(dict.fromkeys(positions, _rows_inside(responses, tested)))
+    for i, biomarker_id in enumerate(biomarkers):
         if biomarker_id not in failed:
-            _warn_if_not_extreme(
-                responses, values, f"biomarker {biomarker_id!r}"
-            )
+            _warn_if_not_extreme(inside[i], f"biomarker {biomarker_id!r}")
 
     csv_rows = [_SCREEN_HEADER] + [
         [

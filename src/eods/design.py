@@ -113,7 +113,11 @@ def power_eods(spec):
         spec = DesignSpec(*spec)
     df2 = spec.n_selected - 2
     vif = variance_inflation(spec.gamma)
-    ncp = spec.n_full * spec.effect_f**2 * spec.gamma * vif
+    try:
+        f2 = spec.effect_f**2
+    except OverflowError:  # an infinite ncp: power 1
+        f2 = math.inf
+    ncp = spec.n_full * f2 * spec.gamma * vif
     power = _slope_test_power(spec.alpha, df2, ncp)
     return PowerResult(
         power=power, ncp=ncp, df1=1, df2=df2, variance_inflation=vif

@@ -27,6 +27,12 @@ _BETACF_MAX_ITER = 300
 _BETACF_EPS = 3e-16
 _FPMIN = 1e-300
 _POISSON_TAIL = 1e-12
+# Terms the downward sweep may take; more means an ncp of about 1e9 or
+# more with a cdf that is not negligible, which the series cannot serve.
+_POISSON_MAX_TERMS = 10**6
+# Past this Poisson mean the lgamma differences at the mode lose their
+# digits, and a cdf that is not zero would need millions of terms.
+_SERIES_MAX_HALF = 2.0**40
 _QUANTILE_XTOL = 1e-12
 _STANDARD_NORMAL = NormalDist()
 
@@ -207,7 +213,10 @@ def f_cdf_noncentral(x, params):
     Poisson(ncp/2) mixture of incomplete beta terms, summed outward from
     the modal Poisson index so the largest weights are accumulated first
     and the beta terms advance by stable two-term recurrences. Series
-    stops once the unaccounted Poisson mass is below 1e-12.
+    stops once the unaccounted Poisson mass is below 1e-12. A downward
+    sweep that would need more than 10^6 terms raises DomainError. An
+    ncp beyond 2^41, infinity included, is answered by a tail bound when
+    the cdf is 0 to double precision, and raises DomainError otherwise.
     """
     if not isinstance(params, NoncentralFParams):
         params = NoncentralFParams(*params)
@@ -221,6 +230,8 @@ def f_cdf_noncentral(x, params):
     if one_minus_y <= 0.0:
         return 1.0
     half = 0.5 * lam
+    if half > _SERIES_MAX_HALF:
+        return _cdf_beyond_series(x, d1, d2, lam)
     a0 = 0.5 * d1
     b = 0.5 * d2
     ln_y = math.log(y)
@@ -244,9 +255,19 @@ def f_cdf_noncentral(x, params):
     total = w_mode * i_mode
     cum_w = w_mode
 
-    # Downward sweep: finitely many terms, j0 at most.
+    # Downward sweep: j0 terms at most. The j terms left below j weigh
+    # at most w * j together, as the weights fall below the mode, so the
+    # sweep stops once they cannot change total, or once the beta
+    # recurrence has reached zero and every term left is zero.
     w, i_val, t_val = w_mode, i_mode, t_mode
     for j in range(j0, 0, -1):
+        if total + w * j == total or i_val == t_val == 0.0:
+            break
+        if j0 - j == _POISSON_MAX_TERMS:
+            raise DomainError(
+                f"noncentral F series at ncp {lam!r} needs more than "
+                f"{_POISSON_MAX_TERMS} terms"
+            )
         a = a0 + j
         t_val = t_val * a / (y * (a + b - 1.0))  # step T(a) -> T(a-1)
         i_val = min(1.0, i_val + t_val)
@@ -270,6 +291,25 @@ def f_cdf_noncentral(x, params):
         if j > j0 + 100000:
             break
     return min(1.0, max(0.0, total))
+
+
+def _cdf_beyond_series(x, d1, d2, ncp):
+    """The noncentral F cdf at a huge ncp, when it is zero in double.
+
+    P(F <= x) <= P(V > v) + P(chi2_d1(ncp) <= d1 x v / d2) for V the
+    chi2_d2 denominator. At v = d2 + 2 sqrt(746 d2) + 1492 the first
+    term is at most e^-746 (Laurent & Massart, Ann. Statist. 28, 2000,
+    Lemma 1), and the second is at most Phi(sqrt(d1 x v / d2) -
+    sqrt(ncp)), from the one noncentral coordinate. When that Phi
+    underflows, the cdf is below 1e-323 and 0 is returned; otherwise it
+    cannot be evaluated.
+    """
+    v = d2 + 2.0 * math.sqrt(746.0 * d2) + 1492.0
+    if norm_cdf(math.sqrt(d1 * x * v / d2) - math.sqrt(ncp)) == 0.0:
+        return 0.0
+    raise DomainError(
+        f"noncentral F cdf at ncp {ncp!r} is beyond the series' range"
+    )
 
 
 def truncated_tail_second_moment(c):

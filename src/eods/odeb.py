@@ -287,6 +287,29 @@ def estimate_rows(
     )
 
 
+def drop_reasons(rows):
+    """Why each row of an EstimateRows has no estimate; None where kept.
+
+    The DegenerateInput text that estimate() raises for the row, from
+    the first of reverse_fit.degenerate, converted and se_defined that
+    drops it. A list with one entry per row, one entry for one subset.
+    """
+    masks = (rows.reverse_fit.degenerate, rows.converted, rows.se_defined)
+    reasons = []
+    for degenerate, converted, se_defined in zip(
+        *(np.ravel(mask).tolist() for mask in masks)
+    ):
+        if degenerate:
+            reasons.append(regress.ZERO_PREDICTOR_VARIANCE)
+        elif not converted:
+            reasons.append(_CONVERSION_UNDEFINED)
+        elif not se_defined:
+            reasons.append(_SLOPE_VARIANCE_COLLAPSED)
+        else:
+            reasons.append(None)
+    return reasons
+
+
 def estimate(subset, full, confidence_level=0.95):
     """Full inference pass: reverse fit, conversion, SE, CI, p-value.
 
@@ -304,11 +327,10 @@ def estimate(subset, full, confidence_level=0.95):
         full.n_full,
         confidence_level,
     )
+    (reason,) = drop_reasons(rows)
+    if reason is not None:
+        raise DegenerateInput(reason)
     rev = rows.reverse_fit.single()
-    if not rows.converted:
-        raise DegenerateInput(_CONVERSION_UNDEFINED)
-    if not rows.se_defined:
-        raise DegenerateInput(_SLOPE_VARIANCE_COLLAPSED)
     return OdebEstimate(
         beta_y=float(rows.beta_y),
         alpha_y=float(rows.alpha_y),

@@ -13,6 +13,9 @@ import numpy as np
 from . import dist
 from .errors import DegenerateInput
 
+TOO_FEW_PAIRS = "need at least 3 paired observations"
+ZERO_PREDICTOR_VARIANCE = "predictor has zero sample variance"
+
 
 @dataclass
 class PairedSample:
@@ -32,7 +35,7 @@ class PairedSample:
                 f"{self.response.shape[0]} responses"
             )
         if self.predictor.shape[0] < 3:
-            raise DegenerateInput("need at least 3 paired observations")
+            raise DegenerateInput(TOO_FEW_PAIRS)
 
     def __len__(self):
         return self.predictor.shape[0]
@@ -80,7 +83,7 @@ class FitRows:
     def single(self):
         """The fit of one sample as a FitResult; DegenerateInput if none."""
         if self.degenerate:
-            raise DegenerateInput("predictor has zero sample variance")
+            raise DegenerateInput(ZERO_PREDICTOR_VARIANCE)
         sxx, syy, sxy = (float(v) for v in self.sums)
         r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
         return FitResult(
@@ -111,12 +114,15 @@ def fit_rows(predictor, response):
     """Ordinary least squares of response on predictor along the last axis.
 
     1-D arrays are one sample; (R, n) arrays are R samples, one per row.
-    Sums are centered two-pass with numpy's pairwise summation, so a
-    row's fit depends neither on the other rows nor on evaluation order.
-    Each p-value is one scalar dist.t_cdf call.
+    The two are broadcast to one shape first, so a 1-D predictor serves
+    every row of an (R, n) response. Sums are centered two-pass with
+    numpy's pairwise summation, so a row's fit depends neither on the
+    other rows nor on evaluation order. Each p-value is one scalar
+    dist.t_cdf call.
     """
-    x = np.asarray(predictor, dtype=float)
-    y = np.asarray(response, dtype=float)
+    x, y = np.broadcast_arrays(
+        np.asarray(predictor, dtype=float), np.asarray(response, dtype=float)
+    )
     n = x.shape[-1]
     # np.add.reduce is np.sum (and, divided by n, np.mean) without their
     # Python-level dispatch, which dominates for one short sample

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import odeb
+from . import odeb, regress
 from ._util import check_gamma, round_half_away_from_zero
 from .errors import DegenerateInput, DomainError, InsufficientData
 
@@ -123,20 +123,39 @@ def bh_adjust(p_values):
     return [float(v) for v in out]
 
 
+def tested_groups(columns):
+    """Column positions grouped by tested-row mask, in first-seen order.
+
+    columns are equal-length vectors with NaN on the rows that were not
+    tested. Returns [(tested, positions)]: a boolean mask and the
+    positions of the columns tested on exactly those rows.
+    """
+    groups = {}
+    for i, column in enumerate(columns):
+        untested = np.isnan(column)
+        key = untested.tobytes()
+        if key in groups:
+            groups[key][1].append(i)
+        else:
+            groups[key] = (~untested, [i])
+    return list(groups.values())
+
+
 def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
     """Univariable screen of many biomarkers against one response vector.
 
     responses is the full response vector. biomarkers maps each id to a
     vector aligned with it row for row, NaN where that biomarker was not
-    tested; each biomarker is fit on its own tested rows. Per-biomarker
-    estimation failures flag the row and the batch keeps going; rows are
-    sorted by ascending p-value (failed rows last, ties by biomarker id)
-    and carry BH q-values over the successful tests.
+    tested; each biomarker is fit on its own tested rows, and the
+    columns tested on the same rows are fit together, one
+    odeb.estimate_rows call per tested-row mask. Per-biomarker
+    estimation failures flag the row and the batch keeps going; rows
+    are sorted by ascending p-value (failed rows last, ties by
+    biomarker id) and carry BH q-values over the successful tests.
     """
     y = np.asarray(responses, dtype=float)
     full = odeb.FullResponseSummary.from_responses(y)
-
-    worked = []
+    columns = []
     for biomarker_id, values in biomarkers.items():
         x = np.asarray(values, dtype=float)
         if x.shape != y.shape:
@@ -144,32 +163,49 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
                 f"biomarker {biomarker_id!r} has {x.shape[0]} rows; "
                 f"expected {y.shape[0]}"
             )
-        try:
-            subset = odeb.SelectedSubset.from_tested(y, x)
-            est = odeb.estimate(subset, full, confidence_level)
-            worked.append((str(biomarker_id), est, None))
-        except (DegenerateInput, InsufficientData) as exc:
-            worked.append((str(biomarker_id), None, str(exc)))
+        columns.append(x)
 
-    p_ok = [est.p_value for _, est, err in worked if err is None]
+    # per column: (estimate, se, ci_low, ci_high, p_value) or error text
+    fits = [None] * len(columns)
+    for tested, positions in tested_groups(columns):
+        try:
+            if np.count_nonzero(tested) < 3:
+                raise DegenerateInput(regress.TOO_FEW_PAIRS)
+            block = np.stack([columns[i][tested] for i in positions])
+            est = odeb.estimate_rows(
+                np.broadcast_to(y[tested], block.shape),
+                block,
+                full.mean_y,
+                full.var_y,
+                full.n_full,
+                confidence_level,
+            )
+        except (DegenerateInput, InsufficientData) as exc:
+            for i in positions:
+                fits[i] = str(exc)
+            continue
+        values = zip(
+            est.beta_y.tolist(),
+            est.se_beta_y.tolist(),
+            est.ci_low.tolist(),
+            est.ci_high.tolist(),
+            est.p_value.tolist(),
+        )
+        for i, reason, fit in zip(positions, odeb.drop_reasons(est), values):
+            fits[i] = fit if reason is None else reason
+
+    p_ok = [fit[4] for fit in fits if not isinstance(fit, str)]
     q_ok = iter(bh_adjust(p_ok))
     rows = []
-    for biomarker_id, est, err in worked:
-        if err is None:
+    for biomarker_id, fit in zip(biomarkers, fits):
+        if isinstance(fit, str):
             rows.append(
-                ScreenRow(
-                    biomarker_id=biomarker_id,
-                    estimate=est.beta_y,
-                    se=est.se_beta_y,
-                    ci_low=est.ci_low,
-                    ci_high=est.ci_high,
-                    p_value=est.p_value,
-                    q_value=next(q_ok),
-                    rank=0,
-                )
+                ScreenRow(str(biomarker_id), *[math.nan] * 6, rank=0, error=fit)
             )
         else:
-            rows.append(ScreenRow(biomarker_id, *[math.nan] * 6, rank=0, error=err))
+            rows.append(
+                ScreenRow(str(biomarker_id), *fit, q_value=next(q_ok), rank=0)
+            )
 
     def sort_key(row):
         failed = math.isnan(row.p_value)

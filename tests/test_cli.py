@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from eods import odeb, sim
+from eods import cli, odeb, sim
 from eods.cli import main
+from eods.errors import SchemaError
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN_STUDY = os.path.join(DATA_DIR, "golden_study.csv")
@@ -332,6 +333,90 @@ def test_analyze_rejects_non_finite_cell(tmp_path, capsys, token, column):
     assert "line 7" in err and "finite" in err
 
 
+def _wide_study(path, cell, n_rows, width=2000):
+    """id, resp and `width` biomarker columns; cell(i, j) for row i, column j."""
+    header = ["id", "resp"] + [f"bm{j:04d}" for j in range(width)]
+    rows = [
+        [f"r{i}", repr(float(i)), *(cell(i, j) for j in range(width))]
+        for i in range(n_rows)
+    ]
+    _write_study(path, rows, header=header)
+
+
+@pytest.mark.parametrize(
+    "token", [" 1.5 ", " NA ", " ", "1_000", "1e999", "nan", "-Infinity"]
+)
+def test_loader_matches_parse_cell_inside_a_wide_row(tmp_path, token):
+    # the block-wise float pass must agree with the one per-cell parser,
+    # on values and on the error text; row 40 (line 42) lies past the
+    # first block
+    path = tmp_path / "wide.csv"
+
+    def cell(i, j):
+        if (i, j) == (40, 1234):
+            return token
+        return "" if (i + j) % 3 else repr(0.5 * j - i)
+
+    _wide_study(path, cell, n_rows=70)
+    try:
+        want = cli._parse_cell(token, 42, "bm1234")
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            cli._load_study(str(path), "resp")
+        assert str(got.value) == str(exc)
+        return
+    responses, biomarkers = cli._load_study(str(path), "resp")
+    assert responses.tolist() == [float(i) for i in range(70)]
+    for j, (name, column) in enumerate(biomarkers.items()):
+        expect = [cli._parse_cell(cell(i, j), i + 2, name) for i in range(70)]
+        if j == 1234:
+            expect[40] = want
+        np.testing.assert_array_equal(column, expect)
+
+
+def test_loader_reports_the_first_error_in_the_file(tmp_path):
+    # a non-finite cell on line 4 and a short row on line 6 fall in one
+    # block; the earlier one is reported
+    path = tmp_path / "two_errors.csv"
+    _wide_study(path, lambda i, j: "inf" if (i, j) == (2, 7) else "1.0", 4)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("short,1.0\n")
+    with pytest.raises(SchemaError, match="line 4, column 'bm0007'"):
+        cli._load_study(str(path), "resp")
+    # without the non-finite cell the short row is the first error
+    path.write_text(path.read_text().replace(",inf,", ",2.0,"))
+    with pytest.raises(SchemaError, match="line 6: expected 2002 fields"):
+        cli._load_study(str(path), "resp")
+
+
+def test_loader_missing_response_reported_before_a_later_bad_cell(tmp_path):
+    path = tmp_path / "gap.csv"
+    _write_study(
+        path, [["a", "1.0", "2.0"], ["b", "NA", "3.0"], ["c", "2.0", "x"]]
+    )
+    with pytest.raises(SchemaError, match="line 3: missing response"):
+        cli._load_study(str(path), "resp")
+
+
+@pytest.mark.parametrize("command", ["analyze", "screen", "check"])
+def test_response_variance_overflow_rejected(tmp_path, capsys, command):
+    # the suite turns RuntimeWarning into an error, so none may leak
+    rng = np.random.default_rng(3)
+    y = rng.uniform(1e307, 9e307, size=50)
+    rows = [
+        [f"r{i}", repr(float(v)), repr(float(i)) if i % 5 == 0 else ""]
+        for i, v in enumerate(y)
+    ]
+    path = tmp_path / "huge.csv"
+    _write_study(path, rows)
+    argv = [command, "--input", str(path), "--response", "resp"]
+    if command != "screen":
+        argv += ["--biomarker", "bm"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "response column 'resp'" in err and "double range" in err
+
+
 # ---------------------------------------------------------------- plan
 
 
@@ -456,6 +541,19 @@ def test_plan_infeasible_target_reported(capsys):
     )
     assert code == 2
     assert "full sampling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("effect", ["1e3", "1e4", "1e10", "1e200"])
+def test_plan_huge_effect_ends_within_time(effect):
+    # the noncentral F sweep once visited all ncp/2 Poisson terms below
+    # the mode, and effect_f ** 2 overflowed at 1e200
+    proc = subprocess.run(
+        [sys.executable, "-m", "eods.cli", "plan", "--n-full", "200",
+         "--gamma", "0.2", "--effect-f", effect],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
 
 
 def test_plan_tiny_gamma_infeasible_within_time():

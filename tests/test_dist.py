@@ -248,3 +248,15 @@ def test_truncated_tail_matches_simpson_quadrature():
 
     for c in (-5.0, -1.3, 0.0, 0.8, 2.2, 5.0):
         assert abs(dist.truncated_tail_second_moment(c) - quad(c)) < 1e-10
+
+
+def test_ncf_huge_ncp_is_zero_or_refused():
+    # at a planner's critical value the cdf vanishes long before ncp
+    # leaves double range; the sweep below the mode stops at once
+    for ncp in (1.4e8, 1e22, 1e300, math.inf):
+        assert dist.f_cdf_noncentral(4.1, dist.NoncentralFParams(1, 38, ncp)) == 0.0
+    assert scipy.stats.ncf.cdf(4.1, 1, 38, 1.4e8) == 0.0
+    # beyond the series' range a cdf that is not negligible is refused,
+    # not guessed
+    with pytest.raises(DomainError, match="beyond the series' range"):
+        dist.f_cdf_noncentral(4e19, dist.NoncentralFParams(1, 1, 1e17))

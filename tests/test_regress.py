@@ -10,6 +10,7 @@ from eods.errors import DegenerateInput
 from eods.regress import (
     PairedSample,
     excess_kurtosis,
+    fit_rows,
     fit_simple,
     qq_points,
     skewness,
@@ -121,6 +122,28 @@ def test_degenerate_inputs():
         PairedSample([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(DegenerateInput):
         PairedSample([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+def test_fit_rows_shared_predictor_equals_broadcast():
+    # a 1-D predictor serves every row of an (R, n) response; the rows
+    # used to stop after the first, leaving p-values uninitialised
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=12)
+    y = 0.3 * x + rng.normal(size=(3, 12))
+    y[1] -= 0.3 * x
+    shared = fit_rows(x, y)
+    full = fit_rows(np.broadcast_to(x, y.shape), y)
+    for name in (
+        "intercept", "slope", "se_slope", "residual_variance", "t_stat",
+        "p_value", "degenerate", "residuals",
+    ):
+        got, want = getattr(shared, name), getattr(full, name)
+        assert np.shape(got) == np.shape(want) == y.shape[: np.ndim(got)]
+        assert np.array_equal(got, want), name
+    for i in range(3):
+        one = fit_simple(PairedSample(x, y[i]))
+        assert shared.p_value[i] == one.p_value
+        assert shared.slope[i] == one.slope
 
 
 def test_constant_response():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eods import odeb, screen
-from eods.errors import DomainError
+from eods.errors import DegenerateInput, DomainError, InsufficientData
 
 TOL_EXACT = 1e-12
 
@@ -301,3 +301,119 @@ def test_screen_null_family_wise_error_controlled():
         if any(r.q_value <= 0.05 for r in rows if r.error is None):
             hits += 1
     assert hits / reps <= 0.07
+
+
+def _mask_fixture():
+    """Columns on several tested-row masks, with every per-column failure.
+
+    Returns (y, table, n_masks): n_masks counts the distinct masks with
+    at least 3 tested rows.
+    """
+    rng = np.random.default_rng(31)
+    n_full = 200
+    y = rng.normal(10.0, 3.0, size=n_full)
+    y[[5, 6, 7, 8]] = 4.0  # four tied responses
+    order = np.argsort(y)
+    tails = np.concatenate([order[:20], order[-20:]])
+    gappy_a = np.setdiff1d(tails, tails[[0, 7, 33]])
+    gappy_b = np.setdiff1d(tails, tails[[2, 21]])
+    table = {}
+    for k in range(6):
+        table[f"bm_tails_{k}"] = _tested_only(
+            n_full, tails, rng.normal(k, 1.0 + k, size=tails.size)
+        )
+    table["bm_gappy_a"] = _tested_only(
+        n_full, gappy_a, rng.normal(size=gappy_a.size)
+    )
+    table["bm_constant"] = _tested_only(n_full, tails, 2.5)
+    table["bm_gappy_b0"] = _tested_only(
+        n_full, gappy_b, 0.4 * y[gappy_b] + rng.normal(size=gappy_b.size)
+    )
+    # the slope variance's denominator underflows while the conversion's
+    # does not
+    table["bm_tiny"] = _tested_only(
+        n_full, tails, 1e-100 * rng.normal(size=tails.size)
+    )
+    table["bm_three"] = _tested_only(n_full, tails[:3], [1.0, 2.0, 4.0])
+    table["bm_tied_y"] = _tested_only(n_full, [5, 6, 7, 8], [1.0, 2.0, 3.0, 5.0])
+    table["bm_two"] = _tested_only(n_full, tails[:2], [1.0, 2.0])
+    table["bm_empty"] = np.full(n_full, np.nan)
+    table["bm_gappy_b1"] = _tested_only(
+        n_full, gappy_b, rng.normal(size=gappy_b.size)
+    )
+    # tails, gappy_a, gappy_b, tails[:3], [5, 6, 7, 8]
+    return y, table, 5
+
+
+def test_screen_batched_fits_equal_per_column_estimate():
+    y, table, _ = _mask_fixture()
+    rows = {r.biomarker_id: r for r in screen.screen_biomarkers(y, table)}
+    full = odeb.FullResponseSummary.from_responses(y)
+    p_ok = []
+    for biomarker_id, column in table.items():
+        row = rows[biomarker_id]
+        try:
+            subset = odeb.SelectedSubset.from_tested(y, column)
+            est = odeb.estimate(subset, full)
+        except (DegenerateInput, InsufficientData) as exc:
+            assert row.error == str(exc)
+            for value in (row.estimate, row.se, row.p_value, row.q_value):
+                assert math.isnan(value)
+            continue
+        assert row.error is None
+        assert row.estimate == est.beta_y
+        assert row.se == est.se_beta_y
+        assert row.ci_low == est.ci_low
+        assert row.ci_high == est.ci_high
+        assert row.p_value == est.p_value
+        p_ok.append((biomarker_id, est.p_value))
+    q_ok = screen.bh_adjust([p for _, p in p_ok])
+    for (biomarker_id, _), q in zip(p_ok, q_ok):
+        assert rows[biomarker_id].q_value == q
+    errors = {r.biomarker_id: r.error for r in rows.values() if r.error}
+    assert errors == {
+        "bm_constant": (
+            "reverse fit is deterministic with zero slope; conversion "
+            "undefined"
+        ),
+        "bm_tiny": "collapsed denominator in the slope variance",
+        "bm_three": "need at least 4 selected pairs for variance inference",
+        "bm_tied_y": "predictor has zero sample variance",
+        "bm_two": "need at least 3 paired observations",
+        "bm_empty": "need at least 3 paired observations",
+    }
+
+
+def test_screen_fits_once_per_tested_mask(monkeypatch):
+    y, table, n_masks = _mask_fixture()
+    calls = []
+    estimate_rows = odeb.estimate_rows
+
+    def counting(responses, biomarkers, *args):
+        calls.append(np.shape(biomarkers))
+        return estimate_rows(responses, biomarkers, *args)
+
+    monkeypatch.setattr(odeb, "estimate_rows", counting)
+    screen.screen_biomarkers(y, table)
+    assert len(calls) == n_masks
+    # the eight columns on the shared tails are one (8, 40) block
+    assert calls[0] == (8, 40)
+
+
+def test_tested_groups_in_order_of_first_appearance():
+    y, table, _ = _mask_fixture()
+    groups = screen.tested_groups(list(table.values()))
+    names = list(table)
+    got = [[names[i] for i in positions] for _, positions in groups]
+    assert got == [
+        [f"bm_tails_{k}" for k in range(6)] + ["bm_constant", "bm_tiny"],
+        ["bm_gappy_a"],
+        ["bm_gappy_b0", "bm_gappy_b1"],
+        ["bm_three"],
+        ["bm_tied_y"],
+        ["bm_two"],
+        ["bm_empty"],
+    ]
+    for tested, positions in groups:
+        for i in positions:
+            assert np.array_equal(tested, ~np.isnan(table[names[i]]))
