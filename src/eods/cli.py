@@ -134,14 +134,6 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
     # per biomarker
     table = np.concatenate([block.T for block in blocks], axis=1)
     responses = table[0]
-    if responses.size > 1:  # one row has no sample variance
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, var_y = odeb.response_moments(responses)
-        if not np.isfinite(var_y):
-            raise DomainError(
-                f"{path}: the variance of response column "
-                f"{response_column!r} is beyond double range"
-            )
     biomarkers = dict(zip(columns[1:], table[1:]))
     if log10:
         for name, column in biomarkers.items():
@@ -153,11 +145,13 @@ def _read_blocks(reader, width, columns, position):
     """The data rows as (rows, len(columns)) float64 blocks, NaN = missing.
 
     Each row's cells convert in one float() pass, and each block of
-    about _BLOCK_VALUES values is checked once. A failed float(),
-    a non-finite value that is not a missing token or a missing
-    response sends the block's rows through _parse_rows, which raises
-    the first error in file order or, for padded tokens such as " NA ",
-    returns the values.
+    about _BLOCK_VALUES values is checked once. A row whose float()
+    fails goes alone through _parse_rows, which returns its values when
+    the failure was a padded token such as " NA "; when the row holds
+    an error, the block's earlier rows are parsed first, so the first
+    error in file order is the one raised. A non-finite value that is
+    not a missing token or a missing response sends the whole block
+    through _parse_rows.
     """
     pick = operator.itemgetter(*[position[name] for name in columns])
     # local names: the loop below runs once per row
@@ -174,11 +168,18 @@ def _read_blocks(reader, width, columns, position):
             )
         cells = pick(row)
         held.append(cells)
-        n_missing += cells.count(empty) + cells.count(na)
         try:
             values += [nan if c in missing else float(c) for c in cells]
+            n_missing += cells.count(empty) + cells.count(na)
         except ValueError:
-            values = _parse_rows(held, first_line, columns)
+            try:
+                parsed = _parse_rows([cells], line_no, columns)
+            except SchemaError:
+                # an error on an earlier row of the block comes first
+                _parse_rows(held[:-1], first_line, columns)
+                raise
+            values += parsed
+            n_missing += sum(map(math.isnan, parsed))
         if len(values) >= _BLOCK_VALUES:
             blocks.append(
                 _checked_block(held, first_line, values, n_missing, columns)
@@ -216,13 +217,14 @@ def _log10_in_place(column, biomarker_id):
     column[tested] = [math.log10(v) for v in column[tested].tolist()]
 
 
-def _rows_inside(responses, tested):
-    """Tested rows strictly inside the untested response range."""
-    untested = responses[~tested]
-    if not untested.size:
-        return 0
-    y = responses[tested]
-    return np.count_nonzero((untested.min() < y) & (y < untested.max()))
+def _full_summary(responses, response_column):
+    """The full-response summary; a DomainError names the column."""
+    try:
+        return odeb.FullResponseSummary.from_responses(responses)
+    except DomainError as exc:
+        raise DomainError(
+            f"response column {response_column!r}: {exc}"
+        ) from None
 
 
 def _warn_if_not_extreme(inside, label):
@@ -252,11 +254,11 @@ def cmd_analyze(args):
         args.input, args.response, [args.biomarker], args.log10
     )
     values = biomarkers[args.biomarker]
-    full = odeb.FullResponseSummary.from_responses(responses)
+    full = _full_summary(responses, args.response)
     subset = odeb.SelectedSubset.from_tested(responses, values)
     est = odeb.estimate(subset, full, args.confidence)
     _warn_if_not_extreme(
-        _rows_inside(responses, ~np.isnan(values)),
+        screen.rows_inside(responses, ~np.isnan(values)),
         f"biomarker {args.biomarker!r}",
     )
     n_full = full.n_full
@@ -393,14 +395,14 @@ def cmd_screen(args):
     responses, biomarkers = _load_study(
         args.input, args.response, _screen_columns(args), args.log10
     )
+    _full_summary(responses, args.response)  # names the column on failure
     table = screen.screen_biomarkers(responses, biomarkers, args.confidence)
-    failed = {row.biomarker_id for row in table if row.error is not None}
-    inside = {}
-    for tested, positions in screen.tested_groups(list(biomarkers.values())):
-        inside.update(dict.fromkeys(positions, _rows_inside(responses, tested)))
-    for i, biomarker_id in enumerate(biomarkers):
-        if biomarker_id not in failed:
-            _warn_if_not_extreme(inside[i], f"biomarker {biomarker_id!r}")
+    by_id = {row.biomarker_id: row for row in table}
+    for biomarker_id in biomarkers:
+        row = by_id[biomarker_id]
+        if row.error is None:
+            label = f"biomarker {biomarker_id!r}"
+            _warn_if_not_extreme(row.rows_inside, label)
 
     csv_rows = [_SCREEN_HEADER] + [
         [
@@ -667,6 +669,7 @@ def cmd_check(args):
     subset = odeb.SelectedSubset.from_tested(
         responses, biomarkers[args.biomarker]
     )
+    _full_summary(responses, args.response)  # the moments must be finite
     diag = odeb.check_model(subset, responses)
 
     prefix = args.out or _default_check_prefix(args.input)

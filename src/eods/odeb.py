@@ -9,6 +9,7 @@ forward parameters; and propagate uncertainty to the forward slope with
 a first-order delta-method standard error.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ class FullResponseSummary:
     def __post_init__(self):
         if self.n_full < 3:
             raise InsufficientData("full response sample must have n >= 3")
+        if not math.isfinite(self.var_y):
+            raise DomainError("full response variance is beyond double range")
         if not self.var_y > 0.0:
             raise DegenerateInput("full response variance must be positive")
 
@@ -38,7 +41,10 @@ class FullResponseSummary:
         n = y.shape[0]
         if n < 3:
             raise InsufficientData("full response sample must have n >= 3")
-        mean, var = response_moments(y)
+        # an overflow shows as a non-finite var_y, which __post_init__
+        # rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, var = response_moments(y)
         return cls(n_full=n, mean_y=float(mean), var_y=float(var))
 
 

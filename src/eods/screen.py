@@ -39,6 +39,9 @@ class ScreenRow:
     q_value: float
     rank: int
     error: Optional[str] = None
+    # tested rows strictly inside the untested response range; nonzero
+    # means the tested subset does not look extreme
+    rows_inside: int = 0
 
 
 def select_extremes(responses, gamma):
@@ -123,6 +126,15 @@ def bh_adjust(p_values):
     return [float(v) for v in out]
 
 
+def rows_inside(responses, tested):
+    """Tested rows strictly inside the untested response range."""
+    untested = responses[~tested]
+    if not untested.size:
+        return 0
+    y = responses[tested]
+    return np.count_nonzero((untested.min() < y) & (y < untested.max()))
+
+
 def tested_groups(columns):
     """Column positions grouped by tested-row mask, in first-seen order.
 
@@ -152,6 +164,8 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
     estimation failures flag the row and the batch keeps going; rows
     are sorted by ascending p-value (failed rows last, ties by
     biomarker id) and carry BH q-values over the successful tests.
+    Each row's rows_inside counts, once per tested-row mask, the tested
+    rows strictly inside the untested response range.
     """
     y = np.asarray(responses, dtype=float)
     full = odeb.FullResponseSummary.from_responses(y)
@@ -167,13 +181,17 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
 
     # per column: (estimate, se, ci_low, ci_high, p_value) or error text
     fits = [None] * len(columns)
+    inside = [0] * len(columns)
     for tested, positions in tested_groups(columns):
+        n_inside = rows_inside(y, tested)
+        for i in positions:
+            inside[i] = n_inside
         try:
             if np.count_nonzero(tested) < 3:
                 raise DegenerateInput(regress.TOO_FEW_PAIRS)
             block = np.stack([columns[i][tested] for i in positions])
             est = odeb.estimate_rows(
-                np.broadcast_to(y[tested], block.shape),
+                y[tested],
                 block,
                 full.mean_y,
                 full.var_y,
@@ -197,15 +215,21 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
     p_ok = [fit[4] for fit in fits if not isinstance(fit, str)]
     q_ok = iter(bh_adjust(p_ok))
     rows = []
-    for biomarker_id, fit in zip(biomarkers, fits):
+    for biomarker_id, fit, n_inside in zip(biomarkers, fits, inside):
         if isinstance(fit, str):
-            rows.append(
-                ScreenRow(str(biomarker_id), *[math.nan] * 6, rank=0, error=fit)
-            )
+            fit, q_value, error = [math.nan] * 5, math.nan, fit
         else:
-            rows.append(
-                ScreenRow(str(biomarker_id), *fit, q_value=next(q_ok), rank=0)
+            q_value, error = next(q_ok), None
+        rows.append(
+            ScreenRow(
+                str(biomarker_id),
+                *fit,
+                q_value,
+                rank=0,
+                error=error,
+                rows_inside=n_inside,
             )
+        )
 
     def sort_key(row):
         failed = math.isnan(row.p_value)

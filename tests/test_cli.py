@@ -398,6 +398,45 @@ def test_loader_missing_response_reported_before_a_later_bad_cell(tmp_path):
         cli._load_study(str(path), "resp")
 
 
+def test_loader_padded_missing_cells_load_in_linear_time(tmp_path):
+    # ", " separators make every missing cell " NA", which float()
+    # rejects; each such row is re-parsed alone, not its whole block
+    rows = [
+        [f"r{i}", repr(float(i)), repr(0.5 * i) if i % 50 < 5 else "NA"]
+        for i in range(20000)
+    ]
+    plain = tmp_path / "plain.csv"
+    padded = tmp_path / "padded.csv"
+    _write_study(plain, rows)
+    padded.write_text(plain.read_text().replace(",", ", "))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "eods.cli", "analyze", "--input",
+             str(path), "--response", "resp", "--biomarker", "bm"],
+            capture_output=True, text=True, timeout=10,
+        )
+        for path in (plain, padded)
+    ]
+    assert outputs[0].returncode == 0, outputs[0].stderr
+    assert outputs[1].returncode == 0, outputs[1].stderr
+    assert outputs[1].stdout == outputs[0].stdout
+
+
+def test_loader_error_before_a_padded_row_reported_first(tmp_path):
+    # line 3 holds a non-finite value that float() accepts; line 4 holds
+    # a padded token and a bad cell, so float() fails there first
+    path = tmp_path / "padded_errors.csv"
+    _write_study(
+        path,
+        [["a", "1.0", " NA"], ["b", "2.0", "inf"], ["c", "3.0", " x"]],
+    )
+    with pytest.raises(SchemaError, match="line 3, column 'bm'"):
+        cli._load_study(str(path), "resp")
+    path.write_text(path.read_text().replace("inf", "4.0"))
+    with pytest.raises(SchemaError, match="line 4, column 'bm'.*' x'"):
+        cli._load_study(str(path), "resp")
+
+
 @pytest.mark.parametrize("command", ["analyze", "screen", "check"])
 def test_response_variance_overflow_rejected(tmp_path, capsys, command):
     # the suite turns RuntimeWarning into an error, so none may leak

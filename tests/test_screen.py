@@ -382,6 +382,18 @@ def test_screen_batched_fits_equal_per_column_estimate():
         "bm_two": "need at least 3 paired observations",
         "bm_empty": "need at least 3 paired observations",
     }
+    for biomarker_id, column in table.items():
+        tested = ~np.isnan(column)
+        assert rows[biomarker_id].rows_inside == screen.rows_inside(y, tested)
+    assert rows["bm_gappy_a"].rows_inside > 0
+
+
+def test_screen_rejects_overflowing_response_variance():
+    # one DomainError for the whole screen, not every biomarker flagged
+    y = np.random.default_rng(3).uniform(1e307, 9e307, size=50)
+    table = {"bm": np.where(np.arange(50) % 5 == 0, 1.0, np.nan)}
+    with pytest.raises(DomainError, match="beyond double range"):
+        screen.screen_biomarkers(y, table)
 
 
 def test_screen_fits_once_per_tested_mask(monkeypatch):
