@@ -53,6 +53,21 @@ def _fmt(value):
 # ---------------------------------------------------------------- input
 
 
+def _not_utf8(path):
+    """The message for a file that does not decode, with the bad byte.
+
+    A text stream decodes in chunks, so its error's offset is not the
+    file's; the file is decoded whole once more to find it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{path}: not valid UTF-8 at byte offset {exc.start}"
+    return f"{path}: not valid UTF-8"
+
+
 def _parse_cell(text, line_no, column):
     """One numeric cell: NaN when missing, SchemaError when not finite."""
     token = text.strip()
@@ -113,6 +128,8 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file, a header row is required")
+        except UnicodeDecodeError:
+            raise FileError(_not_utf8(path)) from None
         if len(set(header)) != len(header):
             dup = sorted({h for h in header if header.count(h) > 1})
             raise SchemaError(f"{path}: duplicate column name {dup[0]!r}")
@@ -127,7 +144,10 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
         for name in columns:
             if name not in position:
                 raise SchemaError(f"{path}: missing column {name!r}")
-        blocks = _read_blocks(reader, len(header), columns, position)
+        try:
+            blocks = _read_blocks(reader, len(header), columns, position)
+        except UnicodeDecodeError:
+            raise FileError(_not_utf8(path)) from None
     if not blocks:
         raise SchemaError(f"{path}: no data rows")
     # one (columns, rows) matrix: the responses, then one contiguous row
@@ -239,11 +259,14 @@ def _warn_if_not_extreme(inside, label):
 
 
 def _write_qq(path, series):
+    # lines straight to the file: a csv.writer call per row cost as much
+    # as the rest of the write, no formatted float needs quoting, and one
+    # joined string would raise the peak memory by about its size twice
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theoretical_quantile", "observed_value"])
-        for tq, ov in series:
-            writer.writerow([_fmt(float(tq)), _fmt(float(ov))])
+        fh.write("theoretical_quantile,observed_value\n")
+        fh.writelines(
+            f"{_fmt(float(tq))},{_fmt(float(ov))}\n" for tq, ov in series
+        )
 
 
 # ------------------------------------------------------------- analyze
@@ -485,6 +508,8 @@ def _parse_grid_config(path):
             lines = fh.readlines()
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(_not_utf8(path)) from None
 
     lists = {}
     scalars = {}

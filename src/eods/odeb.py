@@ -229,11 +229,15 @@ class EstimateRows:
     se_beta_y: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    p_value: np.ndarray
     converted: np.ndarray
     se_defined: np.ndarray
     kept: np.ndarray
     reverse_fit: regress.FitRows = field(repr=False)
+
+    @property
+    def p_value(self):
+        """The reverse-fit slope tests' p-values, one array call."""
+        return self.reverse_fit.p_value
 
 
 def estimate_rows(
@@ -285,7 +289,6 @@ def estimate_rows(
         se_beta_y=se,
         ci_low=beta_y - t_mult * se,
         ci_high=beta_y + t_mult * se,
-        p_value=rev.p_value,
         converted=converted,
         se_defined=se_defined,
         kept=kept,

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dist
-from .errors import DegenerateInput
+from .dist import _BETACF_EPS, _BETACF_MAX_ITER, _FPMIN
+from .errors import DegenerateInput, DomainError
 
 TOO_FEW_PAIRS = "need at least 3 paired observations"
 ZERO_PREDICTOR_VARIANCE = "predictor has zero sample variance"
@@ -74,11 +75,15 @@ class FitRows:
     se_slope: np.ndarray
     residual_variance: np.ndarray
     df: int
-    t_stat: np.ndarray
-    p_value: np.ndarray
+    t_stat: np.ndarray  # NaN where degenerate
     degenerate: np.ndarray
     sums: tuple  # centered (sxx, syy, sxy)
     residuals: np.ndarray = field(repr=False)
+
+    @property
+    def p_value(self):
+        """Two-sided slope-test p-values, NaN where degenerate."""
+        return slope_p_values(self.t_stat, self.df)
 
     def single(self):
         """The fit of one sample as a FitResult; DegenerateInput if none."""
@@ -86,6 +91,7 @@ class FitRows:
             raise DegenerateInput(ZERO_PREDICTOR_VARIANCE)
         sxx, syy, sxy = (float(v) for v in self.sums)
         r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
+        t_stat = float(self.t_stat)
         return FitResult(
             intercept=float(self.intercept),
             slope=float(self.slope),
@@ -93,21 +99,119 @@ class FitRows:
             residual_variance=float(self.residual_variance),
             df=self.df,
             r_squared=r_squared,
-            t_stat=float(self.t_stat),
-            p_value=float(self.p_value),
+            t_stat=t_stat,
+            p_value=2.0 * dist.t_cdf(-abs(t_stat), self.df),
             residuals=self.residuals,
         )
 
 
-def _slope_test(slope, se_slope, df):
-    """(t, two-sided p) of one fitted slope."""
-    if se_slope > 0.0:
-        t_stat = slope / se_slope
-        return t_stat, 2.0 * dist.t_cdf(-abs(t_stat), df)
-    if slope == 0.0:
-        return 0.0, 1.0
-    # exact fit with nonzero slope
-    return (math.inf if slope > 0 else -math.inf), 0.0
+def _betacf_rows(a, b, x):
+    """dist._betacf entry by entry, on 1-D arrays of equal length.
+
+    The same operations in the same order, so every entry has the bits
+    of the scalar loop. An entry leaves the loop once it converges; an
+    entry that reaches _BETACF_MAX_ITER keeps its h, as the scalar loop
+    does.
+    """
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+    d = 1.0 / d
+    h = d
+    out = np.empty_like(x)
+    live = np.arange(x.shape[0])
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+        d = 1.0 / d
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _BETACF_EPS
+        if done.any():
+            out[live[done]] = h[done]
+            going = ~done
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                v[going] for v in (live, a, b, x, qab, qap, qam, c, d, h)
+            )
+            if not live.shape[0]:
+                break
+    out[live] = h
+    return out
+
+
+def _incomplete_beta_rows(a, b, x):
+    """dist.regularized_incomplete_beta(a[i], b, x[i]) entry by entry.
+
+    a and x are 1-D arrays of equal length and b is one float; a NaN x
+    gives NaN. Sums and products are numpy's, in the scalar function's
+    order, but log, log1p and exp go through math per value: numpy's are
+    not guaranteed to round the same.
+    """
+    out = x.copy()  # x = 0 gives 0, x = 1 gives 1
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    if not inner.shape[0]:
+        return out
+    a, x = a[inner], x[inner]
+    n = x.shape[0]
+    distinct, at = np.unique(a, return_inverse=True)
+    ln_beta = np.array(
+        [
+            math.lgamma(v + b) - math.lgamma(v) - math.lgamma(b)
+            for v in distinct.tolist()
+        ]
+    )
+    ln_x = np.fromiter(map(math.log, x.tolist()), float, n)
+    ln_1mx = np.fromiter(map(math.log1p, (-x).tolist()), float, n)
+    ln_front = ln_beta[at] + a * ln_x + b * ln_1mx
+    front = np.fromiter(map(math.exp, ln_front.tolist()), float, n)
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    # above the mean, I_x(a, b) = 1 - I_{1-x}(b, a), as in the scalar code
+    cf = _betacf_rows(
+        np.where(lower, a, b),
+        np.where(lower, b, a),
+        np.where(lower, x, 1.0 - x),
+    )
+    out[inner] = np.where(lower, front * cf / a, 1.0 - front * cf / b)
+    return out
+
+
+def slope_p_values(t_stat, df):
+    """Two-sided slope-test p-values: 2 * dist.t_cdf(-|t|, df) entry by entry.
+
+    t_stat and df broadcast together, so df may be one value or one per
+    entry. Each entry has the bits of the scalar call; a NaN t gives
+    NaN. The kernel costs more than the scalar loop below about a
+    hundred values, so call it once on as many values as there are.
+    """
+    t, df = np.broadcast_arrays(
+        np.asarray(t_stat, dtype=float), np.asarray(df, dtype=float)
+    )
+    if not np.all(df > 0):
+        raise DomainError(
+            f"degrees of freedom must be positive, got {float(df.min())!r}"
+        )
+    shape = t.shape
+    x = -np.abs(t.ravel())
+    df = df.ravel()
+    # as in the scalar code, a huge t squares to inf and gives p = 0
+    with np.errstate(over="ignore"):
+        xx = df / (df + x * x)
+        tail = 0.5 * _incomplete_beta_rows(0.5 * df, 0.5, xx)
+    return (2.0 * tail).reshape(shape)
 
 
 def fit_rows(predictor, response):
@@ -117,8 +221,8 @@ def fit_rows(predictor, response):
     The two are broadcast to one shape first, so a 1-D predictor serves
     every row of an (R, n) response. Sums are centered two-pass with
     numpy's pairwise summation, so a row's fit depends neither on the
-    other rows nor on evaluation order. Each p-value is one scalar
-    dist.t_cdf call.
+    other rows nor on evaluation order. The p-values are computed only
+    when p_value is read, by slope_p_values.
     """
     x, y = np.broadcast_arrays(
         np.asarray(predictor, dtype=float), np.asarray(response, dtype=float)
@@ -147,16 +251,12 @@ def fit_rows(predictor, response):
     residual_variance = rss / df
     se_slope = np.sqrt(residual_variance / sxx)
 
-    t_stat = np.empty(np.shape(slope))
-    p_value = np.empty(np.shape(slope))
-    rows = zip(
-        np.ravel(slope).tolist(),
-        np.ravel(se_slope).tolist(),
-        np.ravel(degenerate).tolist(),
-    )
-    for i, (b, se, skip) in enumerate(rows):
-        test = (math.nan, math.nan) if skip else _slope_test(b, se, df)
-        t_stat.flat[i], p_value.flat[i] = test
+    # slope / se where se > 0; 0 for a zero slope; +-inf for an exact fit
+    # with a nonzero slope
+    t_stat = np.where(slope > 0.0, math.inf, -math.inf)
+    t_stat[slope == 0.0] = 0.0
+    np.divide(slope, se_slope, out=t_stat, where=se_slope > 0.0)
+    t_stat[degenerate] = math.nan
     return FitRows(
         intercept=intercept,
         slope=slope,
@@ -164,7 +264,6 @@ def fit_rows(predictor, response):
         residual_variance=residual_variance,
         df=df,
         t_stat=t_stat,
-        p_value=p_value,
         degenerate=degenerate,
         sums=(sxx, syy, sxy),
         residuals=residuals,

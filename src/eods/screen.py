@@ -160,7 +160,8 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
     vector aligned with it row for row, NaN where that biomarker was not
     tested; each biomarker is fit on its own tested rows, and the
     columns tested on the same rows are fit together, one
-    odeb.estimate_rows call per tested-row mask. Per-biomarker
+    odeb.estimate_rows call per tested-row mask, and the p-values of
+    all columns from one regress.slope_p_values call. Per-biomarker
     estimation failures flag the row and the batch keeps going; rows
     are sorted by ascending p-value (failed rows last, ties by
     biomarker id) and carry BH q-values over the successful tests.
@@ -179,8 +180,10 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
             )
         columns.append(x)
 
-    # per column: (estimate, se, ci_low, ci_high, p_value) or error text
+    # per column: (estimate, se, ci_low, ci_high) or error text, and the
+    # fitted columns' slope t and df
     fits = [None] * len(columns)
+    tests = {}
     inside = [0] * len(columns)
     for tested, positions in tested_groups(columns):
         n_inside = rows_inside(y, tested)
@@ -207,27 +210,36 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
             est.se_beta_y.tolist(),
             est.ci_low.tolist(),
             est.ci_high.tolist(),
-            est.p_value.tolist(),
         )
-        for i, reason, fit in zip(positions, odeb.drop_reasons(est), values):
+        t_stats = est.reverse_fit.t_stat.tolist()
+        for i, reason, fit, t in zip(
+            positions, odeb.drop_reasons(est), values, t_stats
+        ):
             fits[i] = fit if reason is None else reason
+            if reason is None:
+                tests[i] = (t, est.reverse_fit.df)
 
-    p_ok = [fit[4] for fit in fits if not isinstance(fit, str)]
-    q_ok = iter(bh_adjust(p_ok))
+    # every fitted column's p-value from one call, each at its own df
+    fitted = sorted(tests)  # column order
+    t_df = np.array([tests[i] for i in fitted], dtype=float).reshape(-1, 2)
+    p_values = regress.slope_p_values(t_df[:, 0], t_df[:, 1]).tolist()
+    p_q = dict(zip(fitted, zip(p_values, bh_adjust(p_values))))
     rows = []
-    for biomarker_id, fit, n_inside in zip(biomarkers, fits, inside):
-        if isinstance(fit, str):
-            fit, q_value, error = [math.nan] * 5, math.nan, fit
+    for i, biomarker_id in enumerate(biomarkers):
+        if i in p_q:
+            fit, (p_value, q_value), error = fits[i], p_q[i], None
         else:
-            q_value, error = next(q_ok), None
+            fit, error = [math.nan] * 4, fits[i]
+            p_value = q_value = math.nan
         rows.append(
             ScreenRow(
                 str(biomarker_id),
                 *fit,
+                p_value,
                 q_value,
                 rank=0,
                 error=error,
-                rows_inside=n_inside,
+                rows_inside=inside[i],
             )
         )
 

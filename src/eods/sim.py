@@ -14,12 +14,16 @@ therefore see the same data replicate-for-replicate (paired comparison).
 
 The engine works on blocks of replicates, row r of a (rows, n_full)
 array being one replicate; each row is still drawn from its own
-generator, so blocking changes no value. A block holds about
-_BLOCK_ELEMENTS values whatever n_full is, which bounds memory. run_grid
-groups the scenarios that share data, draws each group's blocks once
-and runs every scenario of the group on them; selection, fits and
-intervals are computed row-wise, and a replicate whose subset
-degenerates is dropped from its own scenario only.
+generator, so blocking changes no value. The generators' Philox keys
+are derived for a whole data group at once, with the SeedSequence hash
+written over an array of replicate indices, and one generator per
+stream is re-keyed row by row. A block holds about _BLOCK_ELEMENTS
+values whatever n_full is, which bounds memory. run_grid groups the
+scenarios that share data, draws each group's blocks once and runs
+every scenario of the group on them; selection, fits and intervals are
+computed row-wise, and a replicate whose subset degenerates is dropped
+from its own scenario only. The slope-test p-values of a whole run come
+from one array call.
 """
 
 import dataclasses
@@ -218,22 +222,113 @@ def residual_sampler(family, noise_variance, t_df=None):
     )
 
 
-def _replicate_rng(seed, replicate_index, stream):
-    return np.random.Generator(
-        np.random.Philox(seed=[seed, replicate_index, stream])
-    )
+# O'Neill's seed_seq constants, as NumPy's SeedSequence uses them.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
 
 
-def _draw_block(scenario, sampler, first, rows):
-    """Replicates first .. first + rows - 1 as (rows, n_full) x and y."""
+def _words32(value):
+    """A nonnegative int as SeedSequence reads it: 32-bit words, low first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _philox_keys(seed, replicates, stream):
+    """Keys of Philox(seed=[seed, r, stream]) for each r, as (len, 2) uint64.
+
+    Philox keys itself with SeedSequence([seed, r, stream])
+    .generate_state(2, uint64): O'Neill's seed_seq hash, which NumPy
+    documents as stable. This is that hash in uint32 arithmetic over an
+    array of r, which wraps as the C code does. seed takes one or two
+    32-bit words and r and stream one each, so the entropy fits the pool
+    of four words and no further mixing round applies.
+    """
+    r = np.asarray(replicates, dtype=np.int64)
+    if r.size and not 0 <= r.min() <= r.max() <= _MASK32:
+        raise DomainError("replicate indices must fit in 32 bits")
+    entropy = [*_words32(seed), r, *_words32(stream)]
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> 16)
+
+    pool = []
+    for i in range(_POOL_SIZE):
+        word = entropy[i] if i < len(entropy) else 0
+        pool.append(hashmix(np.full(r.shape, word, dtype=np.uint32)))
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    # generate_state(2, uint64): the same step on each pool word, with
+    # its own constants; the words pair up low word first
+    hash_const = _INIT_B
+    state = [hashmix(word, _MULT_B).astype(np.uint64) for word in pool]
+    low = state[0] | (state[1] << np.uint64(32))
+    high = state[2] | (state[3] << np.uint64(32))
+    return np.stack([low, high], axis=-1)
+
+
+def _keyed_generator():
+    """One Generator over one Philox, re-keyed per replicate by _rekey."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _rekey(rng, key):
+    """Reset rng to the state of Philox(key=key) as freshly seeded."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _draw_block(scenario, sampler, rng, keys, first):
+    """Replicates first .. first + len(keys) - 1 as (rows, n_full) x and y.
+
+    keys is (rows, 2) uint64, each row's stream-0 Philox key. Data that
+    overflow double range raise DomainError.
+    """
     n = scenario.n_full
-    x = np.empty((rows, n))
-    eps = np.empty((rows, n))
-    for i in range(rows):
-        rng = _replicate_rng(scenario.seed, first + i, 0)
-        x[i] = rng.normal(scenario.x_mean, math.sqrt(scenario.x_var), n)
-        eps[i] = sampler.draw(rng, n)
-    return x, scenario.alpha_y + scenario.beta_y * x + eps
+    x_sd = math.sqrt(scenario.x_var)
+    x = np.empty((len(keys), n))
+    eps = np.empty((len(keys), n))
+    # the overflow shows as a non-finite value, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, key in enumerate(keys.tolist()):
+            _rekey(rng, key)
+            x[i] = rng.normal(scenario.x_mean, x_sd, n)
+            eps[i] = sampler.draw(rng, n)
+        y = scenario.alpha_y + scenario.beta_y * x + eps
+    # a non-finite x makes its y non-finite too
+    finite = np.isfinite(y)
+    if not finite.all():
+        row = first + int(np.argmin(finite.all(axis=1)))
+        raise DomainError(
+            f"replicate {row} draws values beyond double range; the "
+            "scenario's scales are too large"
+        )
+    return x, y
 
 
 def generate_dataset(scenario, replicate_index):
@@ -241,7 +336,10 @@ def generate_dataset(scenario, replicate_index):
     sampler = residual_sampler(
         scenario.residual_family, scenario.noise_variance, scenario.t_df
     )
-    x, y = _draw_block(scenario, sampler, replicate_index, 1)
+    keys = _philox_keys(scenario.seed, [replicate_index], 0)
+    x, y = _draw_block(
+        scenario, sampler, _keyed_generator(), keys, replicate_index
+    )
     return x[0], y[0]
 
 
@@ -249,9 +347,9 @@ def _extreme_indices(y, gamma, n_selected):
     """screen.select_extremes row by row: sorted low tail, sorted high tail.
 
     A partition finds each row's tails. A row where that choice is not
-    unique (a cut value also outside its tail, or both cuts equal) or
-    that holds a non-finite value goes to select_extremes, the one home
-    of the lower-index tie rule and of the finite check.
+    unique (a cut value also outside its tail, or both cuts equal) goes
+    to select_extremes, the one home of the lower-index tie rule. y must
+    be finite, as _draw_block ensures.
     """
     n = y.shape[1]
     n_low = n_selected // 2
@@ -265,7 +363,6 @@ def _extreme_indices(y, gamma, n_selected):
         (low_cut[:, 0] == high_cut[:, 0])
         | np.any(rest == low_cut, axis=1)
         | np.any(rest == high_cut, axis=1)
-        | ~np.all(np.isfinite(y), axis=1)
     )
     low = np.sort(order[:, :n_low], axis=1)
     high = np.sort(order[:, n - n_high :], axis=1)
@@ -276,28 +373,31 @@ def _extreme_indices(y, gamma, n_selected):
     return idx
 
 
-def _random_indices(scenario, first, rows):
-    idx = np.empty((rows, scenario.n_selected), dtype=np.intp)
-    for i in range(rows):
-        rng = _replicate_rng(scenario.seed, first + i, 1)
-        idx[i] = np.sort(
-            rng.choice(scenario.n_full, size=scenario.n_selected, replace=False)
+def _random_indices(scenario, rng, keys):
+    """Each row's sorted random subset, drawn from its stream-1 key."""
+    idx = np.empty((len(keys), scenario.n_selected), dtype=np.intp)
+    for i, key in enumerate(keys.tolist()):
+        _rekey(rng, key)
+        picked = rng.choice(
+            scenario.n_full, size=scenario.n_selected, replace=False
         )
+        idx[i] = np.sort(picked)
     return idx
 
 
-def _run_block(scenario, x, y, first, shared):
-    """(estimate, ci_low, ci_high, p_value) of a block's kept replicates.
+def _run_block(scenario, x, y, shared):
+    """(estimate, ci_low, ci_high, t_stat) of a block's kept replicates.
 
     shared caches, per block, what scenarios of one group can reuse: the
-    selected subsets and the full-response moments.
+    selected subsets and the full-response moments. It also holds, under
+    "random", the generator and the block's stream-1 keys.
     """
     key = (scenario.sampling, scenario.n_selected)
     if key not in shared:
         if scenario.sampling == "extreme":
             idx = _extreme_indices(y, scenario.gamma, scenario.n_selected)
         else:
-            idx = _random_indices(scenario, first, x.shape[0])
+            idx = _random_indices(scenario, *shared["random"])
         shared[key] = (
             np.take_along_axis(x, idx, axis=1),
             np.take_along_axis(y, idx, axis=1),
@@ -310,7 +410,7 @@ def _run_block(scenario, x, y, first, shared):
         )
         kept = ~fit.degenerate
         lo, hi = fit.slope - half, fit.slope + half
-        return fit.slope[kept], lo[kept], hi[kept], fit.p_value[kept]
+        return fit.slope[kept], lo[kept], hi[kept], fit.t_stat[kept]
     if "moments" not in shared:
         shared["moments"] = odeb.response_moments(y)
     mean_y, var_y = shared["moments"]
@@ -328,12 +428,14 @@ def _run_block(scenario, x, y, first, shared):
         return (np.empty(0),) * 4
     kept = est.kept
     return (
-        est.beta_y[kept], est.ci_low[kept], est.ci_high[kept], est.p_value[kept]
+        est.beta_y[kept],
+        est.ci_low[kept],
+        est.ci_high[kept],
+        est.reverse_fit.t_stat[kept],
     )
 
 
-def _metrics(scenario, blocks):
-    est, lo, hi, p = (np.concatenate(part) for part in zip(*blocks))
+def _metrics(scenario, est, lo, hi, p):
     used = est.shape[0]
     if used == 0:
         nan = math.nan
@@ -369,8 +471,11 @@ def _data_key(scenario):
 def _run_group(scenarios):
     """Run scenarios that share one _data_key on the same replicate blocks.
 
-    Returns, per scenario, its SimMetrics or the EodsError that stopped
-    it; one scenario's error leaves the others running.
+    Returns, per scenario, its kept replicates' (estimate, ci_low,
+    ci_high, t_stat) arrays, or the EodsError that stopped it; one
+    scenario's error leaves the others running, and data that overflow
+    stop every scenario of the group. Each stream's keys are derived
+    once for the whole group.
     """
     outcomes = [None] * len(scenarios)
     blocks = {}
@@ -391,22 +496,63 @@ def _run_group(scenarios):
         except EodsError as exc:
             outcomes = [exc if out is None else out for out in outcomes]
             blocks = {}
+    if blocks:
+        replicates = np.arange(data.replicates)
+        rng = _keyed_generator()
+        keys = _philox_keys(data.seed, replicates, 0)
+        random_rng = random_keys = None
+        if any(scenarios[i].sampling == "random" for i in blocks):
+            random_rng = _keyed_generator()
+            random_keys = _philox_keys(data.seed, replicates, 1)
     rows = max(1, _BLOCK_ELEMENTS // data.n_full)
     for first in range(0, data.replicates, rows):
         if not blocks:
             break
-        count = min(rows, data.replicates - first)
-        x, y = _draw_block(data, sampler, first, count)
+        block = slice(first, first + rows)
+        try:
+            x, y = _draw_block(data, sampler, rng, keys[block], first)
+        except DomainError as exc:
+            for i in blocks:
+                outcomes[i] = exc
+            blocks = {}
+            break
         shared = {}
+        if random_keys is not None:
+            shared["random"] = (random_rng, random_keys[block])
         for i in list(blocks):
             try:
-                blocks[i].append(_run_block(scenarios[i], x, y, first, shared))
+                blocks[i].append(_run_block(scenarios[i], x, y, shared))
             except EodsError as exc:
                 outcomes[i] = exc
                 del blocks[i]
     for i, parts in blocks.items():
-        outcomes[i] = _metrics(scenarios[i], parts)
+        outcomes[i] = tuple(np.concatenate(part) for part in zip(*parts))
     return outcomes
+
+
+def _results(scenarios, outcomes):
+    """SimMetrics or EodsError per scenario, from _run_group's outcomes.
+
+    Every p-value comes from one regress.slope_p_values call, df being
+    n_selected - 2 per scenario: the array kernel pays off only on many
+    values at once.
+    """
+    done = [
+        (s, out)
+        for s, out in zip(scenarios, outcomes)
+        if not isinstance(out, EodsError)
+    ]
+    lengths = np.array([len(out[3]) for _, out in done], dtype=np.intp)
+    p = regress.slope_p_values(
+        np.concatenate([np.empty(0)] + [out[3] for _, out in done]),
+        np.repeat([float(s.n_selected - 2) for s, _ in done], lengths),
+    )
+    p_parts = iter(np.split(p, np.cumsum(lengths)[:-1]))
+    return [
+        out if isinstance(out, EodsError)
+        else _metrics(s, *out[:3], next(p_parts))
+        for s, out in zip(scenarios, outcomes)
+    ]
 
 
 def run_scenario(scenario):
@@ -416,7 +562,7 @@ def run_scenario(scenario):
     variance) are dropped and excluded from replicates_used; the run
     itself never aborts on one bad replicate.
     """
-    (outcome,) = _run_group([scenario])
+    (outcome,) = _results([scenario], _run_group([scenario]))
     if isinstance(outcome, EodsError):
         raise outcome
     return outcome
@@ -430,7 +576,8 @@ def run_grid(scenarios, workers=1):
     differ only in sampling, estimator, gamma or alpha_level form one
     group and share its data draws; workers > 1 fans groups out to
     processes, and the per-replicate seeding makes output identical for
-    any worker count.
+    any worker count. The p-values of the whole grid are computed at
+    once, in this process.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -445,16 +592,17 @@ def run_grid(scenarios, workers=1):
         members.setdefault(_data_key(s), []).append(i)
     groups = [[scenarios[i] for i in m] for m in members.values()]
     if workers == 1 or len(groups) == 1:
-        outcomes = [_run_group(g) for g in groups]
+        group_outcomes = [_run_group(g) for g in groups]
     else:
         workers = min(workers, len(groups))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_group, groups))
-    results = [None] * len(scenarios)
-    for indices, group_outcomes in zip(members.values(), outcomes):
-        for i, out in zip(indices, group_outcomes):
-            if isinstance(out, EodsError):
-                results[i] = GridResult(scenarios[i], None, str(out))
-            else:
-                results[i] = GridResult(scenarios[i], out)
-    return results
+            group_outcomes = list(pool.map(_run_group, groups))
+    outcomes = [None] * len(scenarios)
+    for indices, group in zip(members.values(), group_outcomes):
+        for i, out in zip(indices, group):
+            outcomes[i] = out
+    return [
+        GridResult(s, None, str(out)) if isinstance(out, EodsError)
+        else GridResult(s, out)
+        for s, out in zip(scenarios, _results(scenarios, outcomes))
+    ]

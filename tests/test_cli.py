@@ -1045,6 +1045,16 @@ def test_simulate_config_errors(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+def test_simulate_config_not_utf8_rejected(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n_full = 100\n# caf\xe9\nbeta_y = 0\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: not valid UTF-8 at byte offset 18\n"
+    assert not out.exists()
+
+
 def test_simulate_runtime_failure_lands_in_error_column(tmp_path):
     cfg = tmp_path / "thin.cfg"
     # 0.1 * 20 rounds to 2 selected rows: valid scenario values, but the
@@ -1060,6 +1070,27 @@ def test_simulate_runtime_failure_lands_in_error_column(tmp_path):
     assert "selects only" in rows[1][-1]
     assert rows[1][14] == ""  # no metrics on the failed row
     assert rows[2][-1] == ""  # second cell still ran
+
+
+# ------------------------------------------------------------ encoding
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--biomarker", "bm"],
+        ["screen"],
+        ["check", "--biomarker", "bm"],
+    ],
+)
+def test_study_not_utf8_rejected(tmp_path, capsys, command):
+    # the bad byte sits past the header, so it surfaces mid-read
+    study = tmp_path / "bad.csv"
+    study.write_bytes(b"id,resp,bm\na,1.0,2.0\nb,\xff,3.0\n")
+    argv = [command[0], "--input", str(study), "--response", "resp"]
+    assert main(argv + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {study}: not valid UTF-8 at byte offset 23\n"
 
 
 # --------------------------------------------------------------- check

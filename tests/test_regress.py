@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from eods.errors import DegenerateInput
+from eods import dist
+from eods.errors import DegenerateInput, DomainError
 from eods.regress import (
     PairedSample,
     excess_kurtosis,
@@ -14,6 +15,7 @@ from eods.regress import (
     fit_simple,
     qq_points,
     skewness,
+    slope_p_values,
 )
 
 TOL_EXACT = 1e-12
@@ -144,6 +146,58 @@ def test_fit_rows_shared_predictor_equals_broadcast():
         one = fit_simple(PairedSample(x, y[i]))
         assert shared.p_value[i] == one.p_value
         assert shared.slope[i] == one.slope
+
+
+def _scalar_p(t, df):
+    return 2.0 * dist.t_cdf(-abs(t), df)
+
+
+def test_slope_p_values_equal_the_scalar_test_bit_for_bit():
+    # every df from 1 to 2000 and two huge ones, against t at zero, tiny,
+    # moderate, large, overflowing on squaring and infinite
+    special = [0.0, 1e-300, 0.3, 2.0, 40.0, 1e200, math.inf]
+    special += [-t for t in special]
+    dfs = list(range(1, 2001)) + [10**4, 10**6]
+    t, df = np.meshgrid(special, dfs)
+    got = slope_p_values(t, df)
+    assert got.shape == t.shape
+    pairs = zip(t.ravel().tolist(), df.ravel().tolist())
+    assert got.ravel().tolist() == [_scalar_p(a, d) for a, d in pairs]
+    rng = np.random.default_rng(20)
+    t = rng.standard_t(3, 10_000) * rng.choice([1e-3, 1.0, 30.0], 10_000)
+    df = rng.integers(1, 2001, 10_000)
+    want = [_scalar_p(a, d) for a, d in zip(t.tolist(), df.tolist())]
+    assert slope_p_values(t, df).tolist() == want
+    # one df for every entry, and a NaN t
+    got = slope_p_values([math.nan, 1.5, -1.5], 7)
+    assert math.isnan(got[0])
+    assert got[1:].tolist() == [_scalar_p(1.5, 7)] * 2
+    assert slope_p_values(np.empty(0), 5).shape == (0,)
+    with pytest.raises(DomainError):
+        slope_p_values([1.0, 2.0], [3, 0])
+
+
+def test_fit_rows_t_stat_cases():
+    # slope / se; zero slope; exact fits up and down; degenerate
+    x = np.array([[0.0, 1.0, 2.0, 3.0]] * 4 + [[1.0] * 4])
+    y = np.array(
+        [
+            [1.0, 3.0, 2.0, 5.0],
+            [5.0, 5.0, 5.0, 5.0],
+            [0.0, 2.0, 4.0, 6.0],
+            [6.0, 4.0, 2.0, 0.0],
+            [1.0, 2.0, 3.0, 4.0],
+        ]
+    )
+    fit = fit_rows(x, y)
+    assert fit.t_stat[0] == fit.slope[0] / fit.se_slope[0]
+    assert fit.t_stat[1:4].tolist() == [0.0, math.inf, -math.inf]
+    assert math.isnan(fit.t_stat[4])
+    p = fit.p_value
+    assert p[:4].tolist() == [_scalar_p(fit.t_stat[0], 2), 1.0, 0.0, 0.0]
+    assert math.isnan(p[4])
+    for i in range(4):
+        assert fit_simple(PairedSample(x[i], y[i])).p_value == p[i]
 
 
 def test_constant_response():

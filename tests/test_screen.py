@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eods import odeb, screen
+from eods import odeb, regress, screen
 from eods.errors import DegenerateInput, DomainError, InsufficientData
 
 TOL_EXACT = 1e-12
@@ -410,6 +410,22 @@ def test_screen_fits_once_per_tested_mask(monkeypatch):
     assert len(calls) == n_masks
     # the eight columns on the shared tails are one (8, 40) block
     assert calls[0] == (8, 40)
+
+
+def test_screen_computes_p_values_once(monkeypatch):
+    y, table, _ = _mask_fixture()
+    calls = []
+    slope_p_values = regress.slope_p_values
+
+    def counting(t_stat, df):
+        calls.append(np.unique(df).tolist())
+        return slope_p_values(t_stat, df)
+
+    monkeypatch.setattr(regress, "slope_p_values", counting)
+    screen.screen_biomarkers(y, table)
+    # one call, each column at its own tested-row count less two
+    assert len(calls) == 1
+    assert len(calls[0]) > 1
 
 
 def test_tested_groups_in_order_of_first_appearance():

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine."""
 
+import dataclasses
 import math
 import random
 
@@ -427,3 +428,99 @@ def test_drops_are_per_scenario_within_a_group():
     assert rows[0].metrics.replicates_used == 0
     assert rows[1].metrics.replicates_used == 20
     assert rows[1].metrics == sim.run_scenario(ols_arm)
+
+
+KEY_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1)
+
+
+def test_philox_keys_match_seed_sequence():
+    replicates = [0, 1, 2, 99, 2**16, 2**31, 2**32 - 1]
+    for seed in KEY_SEEDS:
+        for stream in (0, 1):
+            want = [
+                np.random.Philox(seed=[seed, r, stream]).state["state"]["key"]
+                for r in replicates
+            ]
+            got = sim._philox_keys(seed, replicates, stream)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, np.array(want))
+    with pytest.raises(DomainError):
+        sim._philox_keys(1, [2**32], 0)
+
+
+def test_rekeyed_generator_draws_like_a_fresh_one():
+    rng = sim._keyed_generator()
+    rng.normal(size=7)  # state left mid-buffer by an earlier row
+    for seed in KEY_SEEDS:
+        for r, stream in ((0, 0), (5, 1), (2**32 - 1, 0)):
+            fresh = np.random.Generator(
+                np.random.Philox(seed=[seed, r, stream])
+            )
+            sim._rekey(rng, sim._philox_keys(seed, [r], stream)[0].tolist())
+            for draw in (
+                lambda g: g.normal(1.0, 2.0, 9),
+                lambda g: g.standard_t(5, 9),
+                lambda g: g.lognormal(0.0, 1.5, 9),
+                lambda g: g.choice(50, 10, replace=False),
+                lambda g: g.integers(2**32, size=3),
+            ):
+                assert np.array_equal(draw(rng), draw(fresh))
+
+
+def test_overflowing_draws_fail_every_arm_alike():
+    # beta_y * x overflows: one DomainError for every arm, and no
+    # RuntimeWarning (the suite turns those into errors)
+    grid = [
+        _scenario(
+            n_full=50, beta_y=1e300, x_var=1e20, replicates=5, seed=1,
+            sampling=samp, estimator=est,
+        )
+        for samp in ("extreme", "random")
+        for est in ("ols", "odeb")
+    ]
+    rows = sim.run_grid(grid)
+    assert [r.metrics for r in rows] == [None] * 4
+    assert len({r.error for r in rows}) == 1
+    assert "beyond double range" in rows[0].error
+    with pytest.raises(DomainError, match="beyond double range"):
+        sim.generate_dataset(grid[0], 0)
+    with pytest.raises(DomainError, match="beyond double range"):
+        sim.run_scenario(grid[1])
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_run_grid_computes_p_values_once(monkeypatch):
+    # 48 cells in 12 data groups, one of them failing
+    grid = [
+        _scenario(
+            n_full=n, beta_y=b, residual_family=family, sampling=samp,
+            estimator=est, replicates=6, seed=3,
+        )
+        for n in (30, 60)
+        for b in (0.0, 0.4)
+        for family in ("normal", "scaled_t(10)", "shifted_lognormal")
+        for samp in ("extreme", "random")
+        for est in ("odeb", "ols")
+    ]
+    grid[5] = dataclasses.replace(grid[5], gamma=0.05)  # selects 2 rows
+    want = sim.run_grid(grid)  # also fills the t-quantile cache
+    assert sum(r.error is not None for r in want) == 1
+    kernel = _counting(monkeypatch, regress, "slope_p_values")
+    t_cdf = _counting(monkeypatch, dist, "t_cdf")
+    assert sim.run_grid(grid) == want
+    assert len(kernel) == 1
+    assert t_cdf == []
+    kernel.clear()
+    assert sim.run_scenario(grid[0]) == want[0].metrics
+    assert len(kernel) == 1
