@@ -33,9 +33,9 @@ from .errors import (
 )
 
 _MISSING_TOKENS = ("", "NA")
-# Values the loader converts and checks at a time. A block bounds the
-# cell text and Python floats held beside the parsed arrays; 2^16 raised
-# the peak memory of a 20000-row load by about 1 MiB.
+# Cells (rows x picked columns) the loader holds and checks at a time. A
+# block bounds the cell text and Python floats held beside the parsed
+# arrays; 2^16 raised the peak memory of a 20000-row load by about 1 MiB.
 _BLOCK_VALUES = 2**14
 
 
@@ -164,22 +164,29 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
 def _read_blocks(reader, width, columns, position):
     """The data rows as (rows, len(columns)) float64 blocks, NaN = missing.
 
-    Each row's cells convert in one float() pass, and each block of
-    about _BLOCK_VALUES values is checked once. A row whose float()
-    fails goes alone through _parse_rows, which returns its values when
-    the failure was a padded token such as " NA "; when the row holds
-    an error, the block's earlier rows are parsed first, so the first
-    error in file order is the one raised. A non-finite value that is
-    not a missing token or a missing response sends the whole block
-    through _parse_rows.
+    A row's count of empty cells sorts it. An untested row, every
+    biomarker cell empty, converts only its response; a row with no
+    missing token converts in one map(float); any other row goes cell
+    by cell. Each block of about _BLOCK_VALUES cells is checked once.
+    A row whose float() fails goes alone through _parse_rows, which
+    returns its values when the failure was a padded token such as
+    " NA "; when the row holds an error, the block's earlier rows are
+    parsed first, so the first error in file order is the one raised.
+    A non-finite value that is not a missing token or a missing
+    response sends the whole block through _parse_rows.
     """
     pick = operator.itemgetter(*[position[name] for name in columns])
+    block_rows = -(-_BLOCK_VALUES // len(columns))
+    untested_empty = len(columns) - 1
     # local names: the loop below runs once per row
     nan = math.nan
     missing = _MISSING_TOKENS
     empty, na = _MISSING_TOKENS
     blocks = []
-    held, values, n_missing, first_line = [], [], 0, 2  # header is line 1
+    # held: every row's cells; values: the converted rows' values, row
+    # after row; lines and responses: the untested rows'
+    held, values, lines, responses, n_missing = [], [], [], [], 0
+    first_line = 2  # the header is line 1
     for line_no, row in enumerate(reader, start=2):
         if len(row) != width:
             _parse_rows(held, first_line, columns)
@@ -188,9 +195,18 @@ def _read_blocks(reader, width, columns, position):
             )
         cells = pick(row)
         held.append(cells)
+        n_empty = cells.count(empty)
         try:
-            values += [nan if c in missing else float(c) for c in cells]
-            n_missing += cells.count(empty) + cells.count(na)
+            if n_empty == untested_empty:
+                responses.append(float(cells[0]))
+                lines.append(line_no)
+                n_missing += n_empty
+            elif not n_empty and na not in cells:
+                # the whole row converts before any of it is kept
+                values += list(map(float, cells))
+            else:
+                values += [nan if c in missing else float(c) for c in cells]
+                n_missing += n_empty + cells.count(na)
         except ValueError:
             try:
                 parsed = _parse_rows([cells], line_no, columns)
@@ -200,21 +216,41 @@ def _read_blocks(reader, width, columns, position):
                 raise
             values += parsed
             n_missing += sum(map(math.isnan, parsed))
-        if len(values) >= _BLOCK_VALUES:
+        if len(held) == block_rows:
             blocks.append(
-                _checked_block(held, first_line, values, n_missing, columns)
+                _checked_block(
+                    held, first_line, values, (lines, responses), n_missing,
+                    columns,
+                )
             )
-            held, values, n_missing, first_line = [], [], 0, line_no + 1
+            held, values, lines, responses, n_missing = [], [], [], [], 0
+            first_line = line_no + 1
     if held:
         blocks.append(
-            _checked_block(held, first_line, values, n_missing, columns)
+            _checked_block(
+                held, first_line, values, (lines, responses), n_missing,
+                columns,
+            )
         )
     return blocks
 
 
-def _checked_block(held, first_line, values, n_missing, columns):
-    block = np.fromiter(values, float, len(values))
-    block = block.reshape(len(held), len(columns))
+def _checked_block(held, first_line, values, untested, n_missing, columns):
+    """One block from _read_blocks' lists, checked against n_missing.
+
+    untested holds the untested rows' line numbers and responses. The
+    block starts all NaN, so an untested row's biomarker cells are never
+    Python floats: only its response is written.
+    """
+    block = np.full((len(held), len(columns)), math.nan)
+    lines, responses = untested
+    rows = np.array(lines, dtype=np.intp) - first_line
+    block[rows, 0] = responses
+    converted = np.ones(len(held), dtype=bool)
+    converted[rows] = False
+    block[converted] = np.fromiter(values, float, len(values)).reshape(
+        -1, len(columns)
+    )
     # every non-finite value must come from one of the n_missing missing
     # tokens, and no response may be missing
     non_finite = block.size - np.count_nonzero(np.isfinite(block))

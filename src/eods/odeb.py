@@ -218,9 +218,9 @@ class EstimateRows:
 
     Fields are scalars for one subset and arrays for many. kept marks
     the rows that have an estimate. The others were dropped by the
-    reverse fit (reverse_fit.degenerate), the conversion (converted) or
-    the slope variance (se_defined), checked in that order, and hold
-    meaningless values.
+    reverse fit (reverse_fit.degenerate, then reverse_fit.overflow), the
+    conversion (converted) or the slope variance (se_defined), checked
+    in that order, and hold meaningless values.
     """
 
     beta_y: np.ndarray
@@ -275,7 +275,7 @@ def estimate_rows(
         n_selected,
         n_full,
     )
-    kept = ~rev.degenerate & converted & se_defined
+    kept = ~rev.degenerate & ~rev.overflow & converted & se_defined
     check_slope_ceiling(
         np.where(kept, beta_y, 0.0), var_y, rev.residual_variance
     )
@@ -299,17 +299,21 @@ def estimate_rows(
 def drop_reasons(rows):
     """Why each row of an EstimateRows has no estimate; None where kept.
 
-    The DegenerateInput text that estimate() raises for the row, from
-    the first of reverse_fit.degenerate, converted and se_defined that
-    drops it. A list with one entry per row, one entry for one subset.
+    The error text that estimate() raises for the row, from the first
+    of reverse_fit.degenerate, reverse_fit.overflow, converted and
+    se_defined that drops it. A list with one entry per row, one entry
+    for one subset.
     """
-    masks = (rows.reverse_fit.degenerate, rows.converted, rows.se_defined)
+    rev = rows.reverse_fit
+    masks = (rev.degenerate, rev.overflow, rows.converted, rows.se_defined)
     reasons = []
-    for degenerate, converted, se_defined in zip(
+    for degenerate, overflow, converted, se_defined in zip(
         *(np.ravel(mask).tolist() for mask in masks)
     ):
         if degenerate:
             reasons.append(regress.ZERO_PREDICTOR_VARIANCE)
+        elif overflow:
+            reasons.append(regress.FIT_OVERFLOW)
         elif not converted:
             reasons.append(_CONVERSION_UNDEFINED)
         elif not se_defined:
@@ -336,10 +340,11 @@ def estimate(subset, full, confidence_level=0.95):
         full.n_full,
         confidence_level,
     )
+    # the reverse fit's own errors first: DomainError on an overflow
+    rev = rows.reverse_fit.single()
     (reason,) = drop_reasons(rows)
     if reason is not None:
         raise DegenerateInput(reason)
-    rev = rows.reverse_fit.single()
     return OdebEstimate(
         beta_y=float(rows.beta_y),
         alpha_y=float(rows.alpha_y),

@@ -16,6 +16,7 @@ from .errors import DegenerateInput, DomainError
 
 TOO_FEW_PAIRS = "need at least 3 paired observations"
 ZERO_PREDICTOR_VARIANCE = "predictor has zero sample variance"
+FIT_OVERFLOW = "sums of squares or slope variance beyond double range"
 
 
 @dataclass
@@ -67,7 +68,9 @@ class FitRows:
 
     Fields are scalars for one sample and arrays for many, entry i
     belonging to row i. A fit whose predictor has zero sample variance
-    is flagged in degenerate; its other fields are meaningless.
+    is flagged in degenerate, and one whose sums of squares or slope
+    standard error overflow double range in overflow; the other fields
+    of a flagged fit are meaningless.
     """
 
     intercept: np.ndarray
@@ -75,20 +78,27 @@ class FitRows:
     se_slope: np.ndarray
     residual_variance: np.ndarray
     df: int
-    t_stat: np.ndarray  # NaN where degenerate
+    t_stat: np.ndarray  # NaN where degenerate or overflow
     degenerate: np.ndarray
+    overflow: np.ndarray
     sums: tuple  # centered (sxx, syy, sxy)
     residuals: np.ndarray = field(repr=False)
 
     @property
     def p_value(self):
-        """Two-sided slope-test p-values, NaN where degenerate."""
+        """Two-sided slope-test p-values, NaN where degenerate or overflow."""
         return slope_p_values(self.t_stat, self.df)
 
     def single(self):
-        """The fit of one sample as a FitResult; DegenerateInput if none."""
+        """The fit of one sample as a FitResult.
+
+        DegenerateInput for a zero-variance predictor, DomainError for a
+        fit beyond double range.
+        """
         if self.degenerate:
             raise DegenerateInput(ZERO_PREDICTOR_VARIANCE)
+        if self.overflow:
+            raise DomainError(FIT_OVERFLOW)
         sxx, syy, sxy = (float(v) for v in self.sums)
         r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
         t_stat = float(self.t_stat)
@@ -222,7 +232,9 @@ def fit_rows(predictor, response):
     every row of an (R, n) response. Sums are centered two-pass with
     numpy's pairwise summation, so a row's fit depends neither on the
     other rows nor on evaluation order. The p-values are computed only
-    when p_value is read, by slope_p_values.
+    when p_value is read, by slope_p_values. Values too large to square
+    flag their rows in overflow, one check per row on its sums, and
+    raise no warning.
     """
     x, y = np.broadcast_arrays(
         np.asarray(predictor, dtype=float), np.asarray(response, dtype=float)
@@ -231,32 +243,50 @@ def fit_rows(predictor, response):
     # np.add.reduce is np.sum (and, divided by n, np.mean) without their
     # Python-level dispatch, which dominates for one short sample
     total = np.add.reduce
-    x_mean = total(x, axis=-1) / n
-    y_mean = total(y, axis=-1) / n
-    dx = x - x_mean[..., None]
-    dy = y - y_mean[..., None]
-    sxx = total(dx * dx, axis=-1)
-    syy = total(dy * dy, axis=-1)
-    sxy = total(dx * dy, axis=-1)
-    degenerate = sxx <= 0.0
-    # a zero sum of squares becomes one, so degenerate rows, whose values
-    # are never used, divide without a warning
-    sxx = sxx + degenerate
+    # an overflow shows as a non-finite sum or standard error, which
+    # flags its row below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = total(x, axis=-1) / n
+        y_mean = total(y, axis=-1) / n
+        dx = x - x_mean[..., None]
+        dy = y - y_mean[..., None]
+        sxx = total(dx * dx, axis=-1)
+        syy = total(dy * dy, axis=-1)
+        sxy = total(dx * dy, axis=-1)
+        degenerate = sxx <= 0.0
+        # a zero sum of squares becomes one, so degenerate rows, whose
+        # values are never used, divide without a warning
+        sxx = sxx + degenerate
 
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    residuals = y - (intercept[..., None] + slope[..., None] * x)
-    rss = total(residuals * residuals, axis=-1)
-    df = n - 2
-    residual_variance = rss / df
-    se_slope = np.sqrt(residual_variance / sxx)
+        slope = sxy / sxx
+        intercept = y_mean - slope * x_mean
+        residuals = y - (intercept[..., None] + slope[..., None] * x)
+        rss = total(residuals * residuals, axis=-1)
+        df = n - 2
+        residual_variance = rss / df
+        se_slope = np.sqrt(residual_variance / sxx)
+    # a non-finite slope or intercept makes the residuals, and so rss,
+    # non-finite too
+    overflow = ~(
+        np.isfinite(sxx)
+        & np.isfinite(syy)
+        & np.isfinite(rss)
+        & np.isfinite(se_slope)
+    )
+    if overflow.any():
+        # overflowing rows become a zero-slope fit of unit variance, so
+        # no later step on them warns
+        slope = np.where(overflow, 0.0, slope)
+        intercept = np.where(overflow, 0.0, intercept)
+        residual_variance = np.where(overflow, 1.0, residual_variance)
+        se_slope = np.where(overflow, 1.0, se_slope)
 
     # slope / se where se > 0; 0 for a zero slope; +-inf for an exact fit
     # with a nonzero slope
     t_stat = np.where(slope > 0.0, math.inf, -math.inf)
     t_stat[slope == 0.0] = 0.0
     np.divide(slope, se_slope, out=t_stat, where=se_slope > 0.0)
-    t_stat[degenerate] = math.nan
+    t_stat[degenerate | overflow] = math.nan
     return FitRows(
         intercept=intercept,
         slope=slope,
@@ -265,6 +295,7 @@ def fit_rows(predictor, response):
         df=df,
         t_stat=t_stat,
         degenerate=degenerate,
+        overflow=overflow,
         sums=(sxx, syy, sxy),
         residuals=residuals,
     )

@@ -385,12 +385,21 @@ def _random_indices(scenario, rng, keys):
     return idx
 
 
-def _run_block(scenario, x, y, shared):
+def _beyond_range(replicate, what):
+    """The DomainError for a replicate whose what is beyond double range."""
+    return DomainError(
+        f"replicate {replicate}: {what}; the scenario's scales are too large"
+    )
+
+
+def _run_block(scenario, x, y, first, shared):
     """(estimate, ci_low, ci_high, t_stat) of a block's kept replicates.
 
-    shared caches, per block, what scenarios of one group can reuse: the
+    first is the replicate index of the block's first row. shared
+    caches, per block, what scenarios of one group can reuse: the
     selected subsets and the full-response moments. It also holds, under
-    "random", the generator and the block's stream-1 keys.
+    "random", the generator and the block's stream-1 keys. A fit or a
+    response variance beyond double range raises DomainError.
     """
     key = (scenario.sampling, scenario.n_selected)
     if key not in shared:
@@ -405,6 +414,9 @@ def _run_block(scenario, x, y, shared):
     x_sub, y_sub = shared[key]
     if scenario.estimator == "ols":
         fit = regress.fit_rows(x_sub, y_sub)
+        if fit.overflow.any():
+            row = int(np.argmax(fit.overflow))
+            raise _beyond_range(first + row, regress.FIT_OVERFLOW)
         half = t_quantile(1.0 - scenario.alpha_level / 2.0, fit.df) * (
             fit.se_slope
         )
@@ -412,8 +424,16 @@ def _run_block(scenario, x, y, shared):
         lo, hi = fit.slope - half, fit.slope + half
         return fit.slope[kept], lo[kept], hi[kept], fit.t_stat[kept]
     if "moments" not in shared:
-        shared["moments"] = odeb.response_moments(y)
+        # an overflow shows as a non-finite moment, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            shared["moments"] = odeb.response_moments(y)
     mean_y, var_y = shared["moments"]
+    finite = np.isfinite(var_y)
+    if not finite.all():
+        raise _beyond_range(
+            first + int(np.argmin(finite)),
+            "full response variance is beyond double range",
+        )
     full = var_y > 0.0
     try:
         est = odeb.estimate_rows(
@@ -426,6 +446,11 @@ def _run_block(scenario, x, y, shared):
         )
     except InsufficientData:
         return (np.empty(0),) * 4
+    overflow = est.reverse_fit.overflow
+    if overflow.any():
+        # est's rows are the block's rows with a positive variance
+        row = int(np.flatnonzero(full)[np.argmax(overflow)])
+        raise _beyond_range(first + row, regress.FIT_OVERFLOW)
     kept = est.kept
     return (
         est.beta_y[kept],
@@ -521,7 +546,9 @@ def _run_group(scenarios):
             shared["random"] = (random_rng, random_keys[block])
         for i in list(blocks):
             try:
-                blocks[i].append(_run_block(scenarios[i], x, y, shared))
+                blocks[i].append(
+                    _run_block(scenarios[i], x, y, first, shared)
+                )
             except EodsError as exc:
                 outcomes[i] = exc
                 del blocks[i]

@@ -374,6 +374,107 @@ def test_loader_matches_parse_cell_inside_a_wide_row(tmp_path, token):
         np.testing.assert_array_equal(column, expect)
 
 
+_ODD_TOKENS = ["", "NA", " NA", "nan", "inf", "x", " 1.5 ", "1_000"]
+
+
+def _assert_loads_as_parse_rows(path, table, columns):
+    """_load_study gives _parse_rows' values, or raises its error text."""
+    try:
+        want = cli._parse_rows(table, 2, columns)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            cli._load_study(str(path), columns[0], columns[1:])
+        assert str(got.value) == str(exc)
+        return
+    responses, biomarkers = cli._load_study(str(path), columns[0], columns[1:])
+    got = np.column_stack([responses, *biomarkers.values()])
+    np.testing.assert_array_equal(got, np.reshape(want, got.shape))
+
+
+@pytest.mark.parametrize("place", ["lone", "response", "end", "start"])
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+def test_loader_matches_parse_rows_with_untested_rows(tmp_path, token, place):
+    # untested rows leave every biomarker cell empty. The odd token is
+    # the one biomarker cell of an otherwise empty row, the response of
+    # an all-empty row, or a cell of a complete row at the end or the
+    # start of a block
+    width = 300
+    block_rows = -(-cli._BLOCK_VALUES // (width + 1))
+    complete = {i for i in range(120) if i % 4 == 0}
+    complete |= {block_rows - 1, block_rows}
+    at = {
+        "lone": (block_rows + 3, 1 + 123),
+        "response": (block_rows + 6, 0),
+        "end": (block_rows - 1, 1 + 123),
+        "start": (block_rows, 1 + 123),
+    }[place]
+    assert at[0] not in complete or place in ("end", "start")
+    table = [
+        [repr(float(i))] + [
+            repr(0.5 * j - i) if i in complete else "" for j in range(width)
+        ]
+        for i in range(120)
+    ]
+    table[at[0]][at[1]] = token
+    path = tmp_path / "untested.csv"
+    columns = ["resp"] + [f"bm{j:04d}" for j in range(width)]
+    _write_study(
+        path, [[f"r{i}", *cells] for i, cells in enumerate(table)],
+        header=["id", *columns],
+    )
+    _assert_loads_as_parse_rows(path, table, columns)
+
+
+def test_loader_valid_rows_skip_the_per_cell_parser(tmp_path, monkeypatch):
+    # untested, complete, NA-only and mixed rows each convert on their
+    # fast path and pass their block's check; only a failure re-parses
+    columns = ["resp", "bm1", "bm2", "bm3"]
+    kinds = [
+        ["", "", ""], ["1.5", "-2", "3e-5"], ["NA", "NA", "NA"],
+        ["", "NA", "4.0"], ["NA", "", ""],
+    ]
+    table = [
+        [repr(0.25 * i), *kinds[i % len(kinds)]] for i in range(9000)
+    ]
+    path = tmp_path / "valid.csv"
+    _write_study(
+        path, [[f"r{i}", *cells] for i, cells in enumerate(table)],
+        header=["id", *columns],
+    )
+    want = cli._parse_rows(table, 2, columns)
+
+    def no_reparse(*args):
+        raise AssertionError("a valid row went through _parse_rows")
+
+    monkeypatch.setattr(cli, "_parse_rows", no_reparse)
+    responses, biomarkers = cli._load_study(str(path), "resp", columns[1:])
+    got = np.column_stack([responses, *biomarkers.values()])
+    np.testing.assert_array_equal(got, np.reshape(want, got.shape))
+
+
+def test_loader_row_of_na_cells(tmp_path):
+    # NA in every biomarker cell is an untested row; NA in the response
+    # too is a missing response
+    columns = ["resp", "bm1", "bm2", "bm3"]
+    table = [[repr(float(i)), "1.0", "2.0", repr(i * 0.5)] for i in range(8)]
+    table[3] = ["3.0", "NA", "NA", "NA"]
+    path = tmp_path / "na_row.csv"
+    _write_study(
+        path, [[f"r{i}", *cells] for i, cells in enumerate(table)],
+        header=["id", *columns],
+    )
+    _assert_loads_as_parse_rows(path, table, columns)
+    responses, biomarkers = cli._load_study(str(path), "resp", columns[1:])
+    assert all(math.isnan(v[3]) for v in biomarkers.values())
+    table[5] = ["NA"] * 4
+    _write_study(
+        path, [[f"r{i}", *cells] for i, cells in enumerate(table)],
+        header=["id", *columns],
+    )
+    with pytest.raises(SchemaError, match="line 7: missing response"):
+        cli._load_study(str(path), "resp", columns[1:])
+
+
 def test_loader_reports_the_first_error_in_the_file(tmp_path):
     # a non-finite cell on line 4 and a short row on line 6 fall in one
     # block; the earlier one is reported
@@ -454,6 +555,49 @@ def test_response_variance_overflow_rejected(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "response column 'resp'" in err and "double range" in err
+
+
+def _huge_biomarker_study(path):
+    # bm's tested values are about +-1e300, so its sums of squares
+    # overflow; ok is tested on the same rows with ordinary values
+    rng = np.random.default_rng(5)
+    y = rng.normal(10.0, 3.0, 60)
+    order = np.argsort(y)
+    tested = set(order[:6].tolist()) | set(order[-6:].tolist())
+    rows = []
+    for i, v in enumerate(y):
+        sign = 1.0 if i % 2 else -1.0
+        bm = repr(sign * 1e300 * rng.uniform(0.5, 1.0)) if i in tested else ""
+        ok = repr(float(rng.normal())) if i in tested else ""
+        rows.append([f"r{i}", repr(float(v)), bm, ok])
+    _write_study(path, rows, header=("id", "resp", "bm", "ok"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_biomarker_overflow_rejected(tmp_path, capsys, command):
+    # the suite turns RuntimeWarning into an error, so none may leak
+    path = tmp_path / "huge_bm.csv"
+    _huge_biomarker_study(path)
+    argv = [command, "--input", str(path), "--response", "resp",
+            "--biomarker", "bm", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "beyond double range" in capsys.readouterr().err
+    argv[argv.index("bm")] = "ok"
+    assert main(argv) == 0
+
+
+def test_screen_flags_overflowing_biomarker(tmp_path):
+    path = tmp_path / "huge_bm.csv"
+    out = tmp_path / "screen.csv"
+    _huge_biomarker_study(path)
+    assert main(["screen", "--input", str(path), "--response", "resp",
+                 "--out", str(out)]) == 0
+    rows = {row[0]: row for row in _read_csv(out)[1:]}
+    assert rows["bm"][1:8] == ["NA"] * 6 + ["2"]
+    assert "beyond double range" in rows["bm"][8]
+    assert rows["ok"][8] == ""
+    # the failed column leaves the BH family, as every failed column does
+    assert rows["ok"][5] == rows["ok"][6]
 
 
 # ---------------------------------------------------------------- plan

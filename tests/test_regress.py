@@ -242,3 +242,26 @@ def test_moment_helpers():
     assert excess_kurtosis([2.0, 2.0, 2.0]) == 0.0
     # lognormal draws are right-skewed
     assert skewness(np.exp(rng.normal(size=100_000))) > 1.0
+
+
+def test_fit_rows_flags_overflow_without_warning():
+    # the suite turns RuntimeWarning into an error, so none may leak
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(4, 9))
+    y = rng.normal(size=(4, 9))
+    y[1] *= 1e300  # syy and rss overflow
+    x[2] *= 1e300  # sxx overflows
+    x[3] = 1.0 + 1e-12 * x[3]  # a tiny sxx
+    y[3] *= 1e150  # se_slope overflows, the sums do not
+    fit = fit_rows(x, y)
+    assert fit.overflow.tolist() == [False, True, True, True]
+    assert all(np.isfinite(v[3]) for v in fit.sums)
+    assert not fit.degenerate.any()
+    assert np.isnan(fit.t_stat[1:]).all()
+    assert np.isnan(fit.p_value[1:]).all()
+    one = fit_rows(x[0], y[0])
+    for name in ("slope", "intercept", "se_slope", "t_stat"):
+        assert getattr(fit, name)[0] == getattr(one, name), name
+    for i in (1, 2, 3):
+        with pytest.raises(DomainError, match="beyond double range"):
+            fit_simple(PairedSample(x[i], y[i]))

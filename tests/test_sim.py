@@ -488,6 +488,39 @@ def test_overflowing_draws_fail_every_arm_alike():
         sim.run_scenario(grid[1])
 
 
+def test_finite_draws_whose_fits_overflow_fail_every_arm():
+    # every draw is finite, but squares of y near 1e200 overflow: the
+    # ols arm in the fit's sums, the odeb arm in the response variance
+    grid = [
+        _scenario(
+            n_full=50, beta_y=1e200, replicates=3, seed=1,
+            sampling=samp, estimator=est,
+        )
+        for samp in ("extreme", "random")
+        for est in ("ols", "odeb")
+    ]
+    rows = sim.run_grid(grid)
+    assert [r.metrics for r in rows] == [None] * 4
+    assert all("beyond double range" in r.error for r in rows)
+    for s in grid:
+        with pytest.raises(DomainError, match="replicate 0: "):
+            sim.run_scenario(s)
+
+
+def test_overflowing_reverse_fit_fails_the_odeb_arm(monkeypatch):
+    # a fit that overflows where the response variance does not: the
+    # replicate named is the one flagged, past the rows dropped for a
+    # zero variance
+    y = np.tile(np.arange(10.0), (4, 1))
+    x = np.ones((4, 10))
+    x[2, :5] = 1e300
+    moments = (np.zeros(4), np.array([0.0, 1.0, 1.0, 1.0]))
+    monkeypatch.setattr(odeb, "response_moments", lambda y: moments)
+    s = _scenario(n_full=10, gamma=0.6)
+    with pytest.raises(DomainError, match="replicate 7: sums of squares"):
+        sim._run_block(s, x, y, 5, {})
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     wrapped = getattr(module, name)
