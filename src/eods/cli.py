@@ -17,6 +17,7 @@ tokens such as scaled_t(10) carry their own degrees of freedom.
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import operator
 import sys
@@ -517,6 +518,8 @@ _GRID_LIST_KEYS = {
     "sampling": str,
     "estimator": str,
 }
+# a ConfigError names a cell by these labels, the other keys as they are
+_CELL_LABELS = {"residual_family": "family"}
 _GRID_SCALAR_KEYS = {
     "replicates": int,
     "seed": int,
@@ -594,82 +597,33 @@ def _parse_grid_config(path):
     missing = [key for key in _GRID_REQUIRED if key not in provided]
     if missing:
         raise ConfigError(f"{path}: missing required key {missing[0]!r}")
-    families = lists.get("residual_family", ["normal"])
-    t_df = scalars.get("t_df")
-
-    # expansion order: n_full, beta_y, gamma, residual_family, sampling,
-    # estimator (outermost to innermost)
+    lists.setdefault("residual_family", ["normal"])
+    t_df = scalars.pop("t_df", None)
     scenarios = []
-    for n_full in lists["n_full"]:
-        for beta_y in lists["beta_y"]:
-            for gamma in lists["gamma"]:
-                for family in families:
-                    for sampling in lists["sampling"]:
-                        for estimator in lists["estimator"]:
-                            kwargs = {
-                                "n_full": n_full,
-                                "beta_y": beta_y,
-                                "gamma": gamma,
-                                "residual_family": family,
-                                "sampling": sampling,
-                                "estimator": estimator,
-                                "replicates": scalars["replicates"],
-                                "seed": scalars["seed"],
-                            }
-                            if (
-                                family.startswith("scaled_t")
-                                and t_df is not None
-                            ):
-                                # a token like scaled_t(10) carries its
-                                # own df; disagreement with t_df is an
-                                # ambiguity the scenario check rejects
-                                kwargs["t_df"] = t_df
-                            for opt in (
-                                "alpha_y",
-                                "noise_variance",
-                                "x_mean",
-                                "x_var",
-                                "alpha_level",
-                            ):
-                                if opt in scalars:
-                                    kwargs[opt] = scalars[opt]
-                            try:
-                                scenarios.append(sim.SimScenario(**kwargs))
-                            except DomainError as exc:
-                                raise ConfigError(
-                                    f"{path}: cell (n_full={n_full}, "
-                                    f"beta_y={beta_y}, gamma={gamma}, "
-                                    f"family={family}, sampling={sampling}, "
-                                    f"estimator={estimator}): {exc}"
-                                )
+    for cell in itertools.product(*(lists[key] for key in _GRID_LIST_KEYS)):
+        kwargs = dict(zip(_GRID_LIST_KEYS, cell), **scalars)
+        family = kwargs["residual_family"]
+        if t_df is not None and family.startswith("scaled_t"):
+            # a token like scaled_t(10) carries its own df; disagreement
+            # with t_df is an ambiguity the scenario check rejects
+            kwargs["t_df"] = t_df
+        try:
+            scenarios.append(sim.SimScenario(**kwargs))
+        except DomainError as exc:
+            label = ", ".join(
+                f"{_CELL_LABELS.get(key, key)}={value}"
+                for key, value in zip(_GRID_LIST_KEYS, cell)
+            )
+            raise ConfigError(f"{path}: cell ({label}): {exc}")
     return scenarios
 
 
-_SIM_CSV_HEADER = [
-    "n_full",
-    "beta_y",
-    "gamma",
-    "sampling",
-    "estimator",
-    "residual_family",
-    "t_df",
-    "alpha_y",
-    "noise_variance",
-    "x_mean",
-    "x_var",
-    "alpha_level",
-    "replicates",
-    "seed",
-    "mean_estimate",
-    "bias",
-    "rmse",
-    "mae",
-    "rejection_rate",
-    "ci_coverage",
-    "mean_ci_length",
-    "replicates_used",
-    "error",
-]
+# the metrics CSV's scenario columns, before SimMetrics' fields and error
+_SIM_COLUMNS = (
+    "n_full", "beta_y", "gamma", "sampling", "estimator", "residual_family",
+    "t_df", "alpha_y", "noise_variance", "x_mean", "x_var", "alpha_level",
+    "replicates", "seed",
+)
 
 
 def cmd_simulate(args):
@@ -679,38 +633,19 @@ def cmd_simulate(args):
             dataclasses.replace(s, seed=args.seed) for s in scenarios
         ]
     results = sim.run_grid(scenarios, workers=args.workers)
+    metrics = [f.name for f in dataclasses.fields(sim.SimMetrics)]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SIM_CSV_HEADER)
+        writer.writerow([*_SIM_COLUMNS, *metrics, "error"])
         for row in results:
-            s = row.scenario
-            m = row.metrics
             writer.writerow(
-                [
-                    str(s.n_full),
-                    _fmt(float(s.beta_y)),
-                    _fmt(float(s.gamma)),
-                    s.sampling,
-                    s.estimator,
-                    s.residual_family,
-                    "" if s.t_df is None else str(s.t_df),
-                    _fmt(float(s.alpha_y)),
-                    _fmt(float(s.noise_variance)),
-                    _fmt(float(s.x_mean)),
-                    _fmt(float(s.x_var)),
-                    _fmt(float(s.alpha_level)),
-                    str(s.replicates),
-                    str(s.seed),
-                    "" if m is None else _fmt(m.mean_estimate),
-                    "" if m is None else _fmt(m.bias),
-                    "" if m is None else _fmt(m.rmse),
-                    "" if m is None else _fmt(m.mae),
-                    "" if m is None else _fmt(m.rejection_rate),
-                    "" if m is None else _fmt(m.ci_coverage),
-                    "" if m is None else _fmt(m.mean_ci_length),
-                    "" if m is None else str(m.replicates_used),
-                    row.error or "",
-                ]
+                _fmt(value)
+                for value in (
+                    *(getattr(row.scenario, name) for name in _SIM_COLUMNS),
+                    # a failed cell leaves its metric columns empty
+                    *(getattr(row.metrics, name, None) for name in metrics),
+                    row.error,
+                )
             )
     failures = sum(1 for row in results if row.error is not None)
     print(

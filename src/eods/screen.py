@@ -44,12 +44,84 @@ class ScreenRow:
     rows_inside: int = 0
 
 
+def selected_count(gamma, n):
+    """Rows gamma selects of n: round(gamma * n), ties away from zero.
+
+    A count below 3, too few for a fit, raises DomainError.
+    """
+    n_selected = round_half_away_from_zero(gamma * n)
+    if n_selected < 3:
+        raise DomainError(
+            f"gamma {gamma!r} selects only {n_selected} of {n} rows; need 3"
+        )
+    return n_selected
+
+
+def extreme_rows(y, n_selected):
+    """Each row's response tails, and whether a tie at a cut decided them.
+
+    y is a finite (R, n) array and 3 <= n_selected <= n. A row's low
+    tail is its floor(n_selected / 2) smallest values and its high tail
+    the largest of what the low tail left, so the two are disjoint even
+    when one value spans both cuts. Among equal values at a cut the
+    lower original index wins. Returns (indices, low_tie, high_tie):
+    indices is (R, n_selected), each row's low-tail indices ascending
+    and then its high-tail indices ascending; low_tie and high_tie flag
+    the rows whose low or high cut value also occurs on a row left out.
+
+    A partition settles each row where no left-out value equals a cut
+    and the two cuts differ; one stable sort settles the other rows.
+    """
+    n = y.shape[1]
+    n_low = n_selected // 2
+    n_high = n_selected - n_low
+    order = np.argpartition(y, (n_low - 1, n - n_high), axis=1)
+    ranked = np.take_along_axis(y, order, axis=1)
+    low_cut = ranked[:, n_low - 1 : n_low]
+    high_cut = ranked[:, n - n_high : n - n_high + 1]
+    rest = ranked[:, n_low : n - n_high]
+    tied = (low_cut == high_cut)[:, 0] | np.any(
+        (rest == low_cut) | (rest == high_cut), axis=1
+    )
+    low_tie = np.zeros(len(y), dtype=bool)
+    high_tie = np.zeros(len(y), dtype=bool)
+    if tied.any():
+        rows = np.flatnonzero(tied)
+        # ascending by value, equal values in index order
+        sub = y[rows]
+        asc = np.argsort(sub, kind="stable", axis=1)
+        ranked = np.take_along_axis(sub, asc, axis=1)
+        cut = ranked[:, n - n_high, None]
+        # The values equal to the high cut that the low tail left sit at
+        # [start, stop) of the sorted row; the high tail is the first
+        # `need` of them and every value above them.
+        start = np.maximum(np.count_nonzero(ranked < cut, axis=1), n_low)
+        stop = np.count_nonzero(ranked <= cut, axis=1)
+        need = (stop - (n - n_high))[:, None]
+        j = np.arange(n_high)
+        at = np.where(j < need, start[:, None] + j, stop[:, None] + j - need)
+        order[rows, :n_low] = asc[:, :n_low]
+        order[rows, n - n_high :] = np.take_along_axis(asc, at, axis=1)
+        high_tie[rows] = start + need[:, 0] < stop
+        # A left-out value equal to the low cut sits right after the low
+        # tail; when the two cuts are equal, it is one the high tail left.
+        low_tie[rows] = np.where(
+            ranked[:, n_low - 1] == cut[:, 0],
+            high_tie[rows],
+            ranked[:, n_low] == ranked[:, n_low - 1],
+        )
+    low = np.sort(order[:, :n_low], axis=1)
+    high = np.sort(order[:, n - n_high :], axis=1)
+    return np.concatenate([low, high], axis=1), low_tie, high_tie
+
+
 def select_extremes(responses, gamma):
     """Pick the bottom and top response tails for biomarker testing.
 
     n_selected = round(gamma * n), ties at x.5 rounding away from zero;
     the low tail gets floor(n_selected / 2) rows, the high tail the
-    remainder. Ties at a cut boundary go to the lower original index.
+    remainder. Ties at a cut boundary go to the lower original index,
+    by extreme_rows on this one row.
     """
     y = np.asarray(responses, dtype=float)
     if y.ndim != 1:
@@ -60,45 +132,25 @@ def select_extremes(responses, gamma):
     check_gamma(gamma)
     if n < 5:
         raise DomainError(f"need at least 5 responses, got {n}")
-    n_selected = round_half_away_from_zero(gamma * n)
-    if n_selected < 3:
-        raise DomainError(
-            f"gamma {gamma!r} selects only {n_selected} of {n} rows; need 3"
-        )
-    n_low = n_selected // 2
-    n_high = n_selected - n_low
-
-    ascending = np.argsort(y, kind="stable")
-    low = ascending[:n_low]
-    remaining = ascending[n_low:]
-    # Descending by value, ties by ascending original index; picking the
-    # high tail from the rows left after the low tail keeps the two
-    # disjoint even when one value spans both cuts.
-    desc = remaining[np.lexsort((remaining, -y[remaining]))]
-    high = desc[:n_high]
-
-    selected = np.zeros(n, dtype=bool)
-    selected[low] = True
-    selected[high] = True
+    n_selected = selected_count(gamma, n)
+    idx, low_tie, high_tie = extreme_rows(y[None], n_selected)
+    low, high = np.split(idx[0], [n_selected // 2])
     notes = []
-    if n_low > 0:
-        low_cut = float(np.max(y[low]))
-        if bool(np.any(~selected & (y == low_cut))):
-            notes.append(
-                f"low-tail boundary value {low_cut!r} tied across the cut; "
-                "kept the lower original indices"
-            )
-    high_cut = float(np.min(y[high]))
-    if bool(np.any(~selected & (y == high_cut))):
+    if low_tie[0]:
         notes.append(
-            f"high-tail boundary value {high_cut!r} tied across the cut; "
-            "kept the lower original indices"
+            f"low-tail boundary value {float(y[low].max())!r} tied across "
+            "the cut; kept the lower original indices"
+        )
+    if high_tie[0]:
+        notes.append(
+            f"high-tail boundary value {float(y[high].min())!r} tied across "
+            "the cut; kept the lower original indices"
         )
     return SelectionPlan(
-        low_indices=sorted(int(i) for i in low),
-        high_indices=sorted(int(i) for i in high),
+        low_indices=low.tolist(),
+        high_indices=high.tolist(),
         gamma_effective=n_selected / n,
-        tie_note="; ".join(notes) if notes else None,
+        tie_note="; ".join(notes) or None,
     )
 
 

@@ -24,6 +24,11 @@ every scenario of the group on them; selection, fits and intervals are
 computed row-wise, and a replicate whose subset degenerates is dropped
 from its own scenario only. The slope-test p-values of a whole run come
 from one array call.
+
+Extreme sampling picks every replicate's tails with screen.extreme_rows,
+the function behind screen.select_extremes, so a replicate's subset is
+the one select_extremes picks from its y: at a cut between equal
+responses the lower original index wins.
 """
 
 import dataclasses
@@ -75,9 +80,9 @@ class SimScenario:
         self.residual_family, self.t_df = _residual_family(
             self.residual_family, self.noise_variance, self.t_df
         )
-        self.n_full = int(self.n_full)
-        self.replicates = int(self.replicates)
-        self.seed = int(self.seed)
+        self.n_full = _integral("n_full", self.n_full)
+        self.replicates = _integral("replicates", self.replicates)
+        self.seed = _integral("seed", self.seed)
         if self.n_full < 5:
             raise DomainError(f"n_full must be at least 5, got {self.n_full}")
         if self.replicates < 1:
@@ -85,6 +90,8 @@ class SimScenario:
         check_gamma(self.gamma)
         if not self.x_var > 0.0:
             raise DomainError("x_var must be positive")
+        for name in ("alpha_y", "beta_y", "x_mean", "x_var"):
+            _check_finite(name, getattr(self, name))
         check_alpha(self.alpha_level)
         if self.sampling not in ("extreme", "random"):
             raise DomainError(f"unknown sampling {self.sampling!r}")
@@ -148,6 +155,21 @@ class ResidualSampler:
         return draws - self.mode_shift
 
 
+def _integral(name, value):
+    """value as an int; DomainError unless it is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_finite(name, value):
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 _LOGNORMAL_SOLVER_TOL = 1e-10
 
 
@@ -183,7 +205,7 @@ def _residual_family(family, noise_variance, t_df):
     token = _SCALED_T_TOKEN.match(str(family))
     if token:
         df = int(token.group(1))
-        if t_df is not None and int(t_df) != df:
+        if t_df is not None and _integral("t_df", t_df) != df:
             raise DomainError(
                 f"residual_family {family!r} conflicts with t_df={t_df!r}"
             )
@@ -192,11 +214,12 @@ def _residual_family(family, noise_variance, t_df):
         raise DomainError(f"unknown residual_family {family!r}")
     if not noise_variance > 0.0:
         raise DomainError("noise_variance must be positive")
+    _check_finite("noise_variance", noise_variance)
     if family != "scaled_t":
         if t_df is not None:
             raise DomainError(f"t_df only applies to scaled_t, not {family!r}")
         return family, None
-    if t_df is None or int(t_df) <= 2:
+    if t_df is None or _integral("t_df", t_df) <= 2:
         raise DomainError("scaled_t needs degrees of freedom above 2")
     return family, int(t_df)
 
@@ -343,36 +366,6 @@ def generate_dataset(scenario, replicate_index):
     return x[0], y[0]
 
 
-def _extreme_indices(y, gamma, n_selected):
-    """screen.select_extremes row by row: sorted low tail, sorted high tail.
-
-    A partition finds each row's tails. A row where that choice is not
-    unique (a cut value also outside its tail, or both cuts equal) goes
-    to select_extremes, the one home of the lower-index tie rule. y must
-    be finite, as _draw_block ensures.
-    """
-    n = y.shape[1]
-    n_low = n_selected // 2
-    n_high = n_selected - n_low
-    order = np.argpartition(y, (n_low - 1, n - n_high), axis=1)
-    ranked = np.take_along_axis(y, order, axis=1)
-    low_cut = ranked[:, n_low - 1 : n_low]
-    high_cut = ranked[:, n - n_high : n - n_high + 1]
-    rest = ranked[:, n_low : n - n_high]
-    unclear = (
-        (low_cut[:, 0] == high_cut[:, 0])
-        | np.any(rest == low_cut, axis=1)
-        | np.any(rest == high_cut, axis=1)
-    )
-    low = np.sort(order[:, :n_low], axis=1)
-    high = np.sort(order[:, n - n_high :], axis=1)
-    idx = np.concatenate([low, high], axis=1)
-    for i in np.flatnonzero(unclear).tolist():
-        plan = screen.select_extremes(y[i], gamma)
-        idx[i] = plan.low_indices + plan.high_indices
-    return idx
-
-
 def _random_indices(scenario, rng, keys):
     """Each row's sorted random subset, drawn from its stream-1 key."""
     idx = np.empty((len(keys), scenario.n_selected), dtype=np.intp)
@@ -404,7 +397,7 @@ def _run_block(scenario, x, y, first, shared):
     key = (scenario.sampling, scenario.n_selected)
     if key not in shared:
         if scenario.sampling == "extreme":
-            idx = _extreme_indices(y, scenario.gamma, scenario.n_selected)
+            idx = screen.extreme_rows(y, scenario.n_selected)[0]
         else:
             idx = _random_indices(scenario, *shared["random"])
         shared[key] = (
@@ -505,13 +498,11 @@ def _run_group(scenarios):
     outcomes = [None] * len(scenarios)
     blocks = {}
     for i, s in enumerate(scenarios):
-        if s.n_selected < 3:
-            outcomes[i] = DomainError(
-                f"gamma {s.gamma!r} selects only {s.n_selected} "
-                f"of {s.n_full} rows; need 3"
-            )
-        else:
+        try:
+            screen.selected_count(s.gamma, s.n_full)
             blocks[i] = []
+        except DomainError as exc:
+            outcomes[i] = exc
     data = scenarios[0]
     if blocks:
         try:

@@ -1178,6 +1178,12 @@ def test_simulate_config_errors(tmp_path, capsys):
             base + "residual_family = scaled_t(10)\nt_df = 20\n",
             "conflicts",
         ),
+        (
+            base.replace("beta_y = 0\n", "beta_y = nan\n"),
+            "cell (n_full=100, beta_y=nan, gamma=0.2, family=normal, "
+            "sampling=extreme, estimator=odeb): "
+            "beta_y must be finite, got nan",
+        ),
     ]
     for i, (text, needle) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.cfg"
@@ -1214,6 +1220,39 @@ def test_simulate_runtime_failure_lands_in_error_column(tmp_path):
     assert "selects only" in rows[1][-1]
     assert rows[1][14] == ""  # no metrics on the failed row
     assert rows[2][-1] == ""  # second cell still ran
+
+
+def test_simulate_csv_layout(tmp_path):
+    cfg = tmp_path / "layout.cfg"
+    _write_config(
+        cfg,
+        "n_full = 20\nbeta_y = 0\ngamma = 0.1, 0.3\n"
+        "residual_family = normal, scaled_t\nt_df = 20\n"
+        "sampling = extreme, random\nestimator = ols\n"
+        "replicates = 5\nseed = 7\n",
+    )
+    out = tmp_path / "layout.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == (
+        "n_full,beta_y,gamma,sampling,estimator,residual_family,t_df,"
+        "alpha_y,noise_variance,x_mean,x_var,alpha_level,replicates,seed,"
+        "mean_estimate,bias,rmse,mae,rejection_rate,ci_coverage,"
+        "mean_ci_length,replicates_used,error"
+    )
+    # residual_family expands between gamma and sampling
+    cells = [row[2:6] for row in _read_csv(out)[1:]]
+    assert cells == [
+        [gamma, sampling, "ols", family]
+        for gamma in ("0.1", "0.3")
+        for family in ("normal", "scaled_t")
+        for sampling in ("extreme", "random")
+    ]
+    # gamma 0.1 selects 2 of 20 rows: the cell fails with empty metrics
+    assert lines[4] == (
+        "20,0.0,0.1,random,ols,scaled_t,20,5.0,5.0,0.0,1.0,0.05,5,7,"
+        ",,,,,,,,gamma 0.1 selects only 2 of 20 rows; need 3"
+    )
 
 
 # ------------------------------------------------------------ encoding

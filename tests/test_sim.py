@@ -92,6 +92,35 @@ def test_scenario_validation():
         _scenario(seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(alpha_y=math.nan), "alpha_y must be finite"),
+        (dict(beta_y=math.nan), "beta_y must be finite"),
+        (dict(x_mean=-math.inf), "x_mean must be finite"),
+        (dict(x_var=math.inf), "x_var must be finite"),
+        (dict(noise_variance=math.inf), "noise_variance must be finite"),
+        (dict(n_full=50.7), "n_full must be an integer"),
+        (dict(replicates=2.5), "replicates must be an integer"),
+        (dict(seed=1.9), "seed must be an integer"),
+        (dict(seed=math.nan), "seed must be an integer"),
+        (dict(residual_family="scaled_t", t_df=10.5), "t_df must be an"),
+        (dict(residual_family="scaled_t(10)", t_df=10.5), "t_df must be an"),
+    ],
+)
+def test_scenario_rejects_non_finite_and_fractional_fields(overrides, message):
+    with pytest.raises(DomainError, match=message):
+        _scenario(**overrides)
+
+
+def test_scenario_takes_whole_floats_as_integers():
+    s = _scenario(n_full=50.0, replicates=2.0, seed=1.0)
+    assert (s.n_full, s.replicates, s.seed) == (50, 2, 1)
+    assert all(type(v) is int for v in (s.n_full, s.replicates, s.seed))
+    s = _scenario(residual_family="scaled_t", t_df=10.0)
+    assert s.t_df == 10 and type(s.t_df) is int
+
+
 def test_n_selected_rounds_half_away_from_zero():
     assert _scenario(n_full=190, gamma=0.1).n_selected == 19
     assert _scenario(n_full=10, gamma=0.25).n_selected == 3
@@ -344,42 +373,80 @@ def _reference_metrics(scenario):
         dict(estimator="ols", residual_family="scaled_t(5)"),
         dict(sampling="random", residual_family="shifted_lognormal"),
         dict(sampling="random", estimator="ols", n_full=3000, gamma=0.01),
+        # responses rounded to integer levels, as an ordinal score is:
+        # the replicates of one block tie at their cuts
+        dict(ordinal=True),
     ],
 )
-def test_run_scenario_matches_per_replicate_loop(overrides):
+def test_run_scenario_matches_per_replicate_loop(monkeypatch, overrides):
+    overrides = dict(overrides)
+    if overrides.pop("ordinal", False):
+        draw_block = sim._draw_block
+
+        def ordinal_block(*args):
+            x, y = draw_block(*args)
+            return x, np.round(y)
+
+        monkeypatch.setattr(sim, "_draw_block", ordinal_block)
     s = _scenario(replicates=12, **overrides)
     assert sim.run_scenario(s) == _reference_metrics(s)
 
 
-def test_block_selection_matches_select_extremes(monkeypatch):
-    calls = []
-    select_extremes = screen.select_extremes
+def _reference_tails(row, n_selected):
+    # the tail rule spelled out: the low tail sorted by (value, index),
+    # the high tail by (-value, index) over the rows the low tail left
+    n_low = n_selected // 2
+    low = sorted(range(len(row)), key=lambda i: (row[i], i))[:n_low]
+    left = sorted(set(range(len(row))) - set(low), key=lambda i: (-row[i], i))
+    high = left[: n_selected - n_low]
+    out = set(left) - set(high)
+    low_cut = max(row[i] for i in low)
+    high_cut = min(row[i] for i in high)
+    return (
+        sorted(low) + sorted(high),
+        any(row[i] == low_cut for i in out),
+        any(row[i] == high_cut for i in out),
+    )
 
-    def spy(y, gamma):
-        calls.append(y.tolist())
-        return select_extremes(y, gamma)
 
-    monkeypatch.setattr(screen, "select_extremes", spy)
+def _assert_reference_tails(block, n_selected):
+    idx, low_tie, high_tie = screen.extreme_rows(block, n_selected)
+    for row, got, low, high in zip(block.tolist(), idx, low_tie, high_tie):
+        assert (got.tolist(), bool(low), bool(high)) == _reference_tails(
+            row, n_selected
+        )
+    return low_tie, high_tie
+
+
+def test_block_selection_matches_select_extremes():
     distinct = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 4.0, 6.0, 0.0]
     tied_rows = [
         [3.0, 1.0, 9.0, 1.0, 7.0, 0.0, 8.0, 4.0, 6.0, 5.0],  # low cut
         [3.0, 8.0, 9.0, 1.0, 7.0, 0.0, 8.0, 4.0, 6.0, 5.0],  # high cut
         [5.0, 5.0, 9.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0, 5.0],  # both cuts
     ]
-    block = np.array([distinct] + tied_rows + [distinct[::-1]])
-    idx = sim._extreme_indices(block, 0.4, 4)
-    for row, got in zip(block, idx):
-        plan = select_extremes(row, 0.4)
-        assert got.tolist() == plan.low_indices + plan.high_indices
-    assert calls == tied_rows
+    cases = [
+        (np.array([distinct] + tied_rows + [distinct[::-1]]), 0.4, 4),
+        (np.array([distinct, [2.0] * 10]), 1.0, 10),
+    ]
+    for block, gamma, n_selected in cases:
+        ties = _assert_reference_tails(block, n_selected)
+        idx = screen.extreme_rows(block, n_selected)[0]
+        for row, got, low, high in zip(block, idx, *ties):
+            plan = screen.select_extremes(row, gamma)
+            assert got.tolist() == plan.low_indices + plan.high_indices
+            assert (plan.tie_note is not None) == bool(low or high)
+    low_tie, high_tie = screen.extreme_rows(cases[0][0], 4)[1:]
+    assert low_tie.tolist() == [False, True, False, True, False]
+    assert high_tie.tolist() == [False, False, True, True, False]
 
-    calls.clear()
-    block = np.array([distinct, [2.0] * 10])
-    idx = sim._extreme_indices(block, 1.0, 10)
-    for row, got in zip(block, idx):
-        plan = select_extremes(row, 1.0)
-        assert got.tolist() == plan.low_indices + plan.high_indices
-    assert calls == [[2.0] * 10]
+    # integer-valued rows, from all tied to mostly distinct
+    rng = np.random.default_rng(13)
+    for n in range(5, 41):
+        levels = np.array([[1], [2], [3], [5], [n], [n * n]])
+        block = rng.integers(0, levels, size=(6, n)).astype(float)
+        for n_selected in range(3, n + 1):
+            _assert_reference_tails(block, n_selected)
 
 
 def test_results_do_not_depend_on_block_size(monkeypatch):
