@@ -452,6 +452,10 @@ _SCREEN_HEADER = [
 
 
 def cmd_screen(args):
+    if not 0.0 < args.bh_level <= 1.0:
+        raise DomainError(
+            f"--bh-level must lie in (0, 1], got {args.bh_level!r}"
+        )
     responses, biomarkers = _load_study(
         args.input, args.response, _screen_columns(args), args.log10
     )
@@ -530,15 +534,6 @@ _GRID_SCALAR_KEYS = {
     "alpha_level": float,
     "t_df": int,
 }
-_GRID_REQUIRED = (
-    "n_full",
-    "beta_y",
-    "gamma",
-    "sampling",
-    "estimator",
-    "replicates",
-    "seed",
-)
 
 
 def _parse_grid_config(path):
@@ -593,11 +588,15 @@ def _parse_grid_config(path):
                 f"{path} line {line_no}: unknown key {key!r}"
             )
 
-    provided = set(lists) | set(scalars)
-    missing = [key for key in _GRID_REQUIRED if key not in provided]
-    if missing:
-        raise ConfigError(f"{path}: missing required key {missing[0]!r}")
-    lists.setdefault("residual_family", ["normal"])
+    # SimScenario's fields say which keys are required, and the default
+    # of an omitted list key; its required fields come first
+    for field in dataclasses.fields(sim.SimScenario):
+        if field.name in lists or field.name in scalars:
+            continue
+        if field.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}: missing required key {field.name!r}")
+        if field.name in _GRID_LIST_KEYS:
+            lists[field.name] = [field.default]
     t_df = scalars.pop("t_df", None)
     scenarios = []
     for cell in itertools.product(*(lists[key] for key in _GRID_LIST_KEYS)):

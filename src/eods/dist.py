@@ -9,7 +9,8 @@ Accuracy targets: cdfs to about 1e-12 absolute, quantiles to 1e-10,
 noncentral-F series truncated when the remaining Poisson mass drops
 below 1e-12. The normal quantile is Wichura's AS 241 (Applied
 Statistics 37, 1988) from the standard library; the Student-t quantile
-is the only one solved by bisection.
+is the only one solved by bisection, on its lower tail, an upper
+quantile being the negated lower one.
 """
 
 import math
@@ -60,43 +61,6 @@ def norm_pdf(x):
 def norm_cdf(x):
     """Standard normal cdf via erfc; accurate to ~1e-15 everywhere."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _invert_cdf(cdf, p, lo, hi):
-    """Solve cdf(x) = p on a bracketing interval [lo, hi].
-
-    Bisection first (guaranteed progress), then a short secant polish.
-    The caller must supply a genuine bracket: cdf(lo) <= p <= cdf(hi).
-    """
-    flo = cdf(lo) - p
-    fhi = cdf(hi) - p
-    if flo > 0 or fhi < 0:
-        raise DomainError("quantile bracket does not straddle the target")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    a, b, fa, fb = lo, hi, flo, fhi
-    # Bisect to bracket-width convergence. An |f| stopping rule would be
-    # wrong out in the tails, where the cdf is nearly flat and points far
-    # from the root already match p to machine precision.
-    for _ in range(100):
-        x = 0.5 * (a + b)
-        fx = cdf(x) - p
-        if fx == 0.0:
-            return x
-        if fx < 0:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        if b - a <= _QUANTILE_XTOL * max(1.0, abs(x)):
-            break
-    # One secant refinement inside the final bracket.
-    if fb != fa:
-        x = b - fb * (b - a) / (fb - fa)
-        if a <= x <= b:
-            return x
-    return 0.5 * (a + b)
 
 
 def norm_quantile(p):
@@ -182,29 +146,48 @@ def t_cdf(x, df):
 
 @lru_cache(maxsize=4096)
 def t_quantile(p, df):
-    """Inverse Student-t cdf. Cached: simulation loops reuse few (p, df)."""
+    """Inverse Student-t cdf. Cached: simulation loops reuse few (p, df).
+
+    Solved on the lower tail q = min(p, 1 - p), by bisection and a
+    secant step, and negated for p > 0.5. 1 - p is exact for p >= 0.5
+    (Sterbenz), while a small p mirrored to 1 - p would lose its digits.
+    """
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")
     if not df > 0:
         raise DomainError(f"degrees of freedom must be positive, got {df!r}")
     if p == 0.5:
         return 0.0
-    if p > 0.5:
-        hi = 2.0
-        while t_cdf(hi, df) < p:
-            hi *= 2.0
-            if hi > 1e300:
-                raise DomainError("t quantile bracket expansion failed")
-        return _invert_cdf(lambda v: t_cdf(v, df), p, 0.0, hi)
-    # Below 0.5 solve on the lower tail itself: mirroring through 1 - p
-    # would lose every digit of p below 1e-16.
+    sign, q = (-1.0, 1.0 - p) if p > 0.5 else (1.0, p)
     lo = -2.0
-    while (cdf_lo := t_cdf(lo, df)) > p:
+    while (cdf_lo := t_cdf(lo, df)) > q:
         lo *= 2.0
     if cdf_lo == 0.0:
-        # x * x overflowed or the cdf underflowed before reaching p
+        # x * x overflowed or the cdf underflowed before reaching q
         raise DomainError(f"t quantile at p = {p!r} is beyond double range")
-    return _invert_cdf(lambda v: t_cdf(v, df), p, lo, 0.0)
+    # [lo, 0] brackets the root: t_cdf(lo) <= q < t_cdf(0) = 0.5.
+    a, b, fa, fb = lo, 0.0, cdf_lo - q, 0.5 - q
+    if fa == 0.0:
+        return sign * a
+    # Bisect to bracket-width convergence. An |f| stopping rule would be
+    # wrong out in the tails, where the cdf is nearly flat and points far
+    # from the root already match q to machine precision.
+    for _ in range(100):
+        x = 0.5 * (a + b)
+        fx = t_cdf(x, df) - q
+        if fx == 0.0:
+            return sign * x
+        if fx < 0:
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        if b - a <= _QUANTILE_XTOL * max(1.0, abs(x)):
+            break
+    # One secant refinement inside the final bracket.
+    x = b - fb * (b - a) / (fb - fa)
+    if a <= x <= b:
+        return sign * x
+    return sign * 0.5 * (a + b)
 
 
 def f_cdf_noncentral(x, params):

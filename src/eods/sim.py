@@ -46,7 +46,6 @@ from .dist import t_quantile
 from .errors import (
     DomainError,
     EodsError,
-    Infeasible,
     InsufficientData,
 )
 
@@ -132,8 +131,8 @@ class GridResult:
 class ResidualSampler:
     """Draws centered-noise vectors for one residual family.
 
-    For shifted_lognormal the solver metadata records the numerically
-    determined log-scale variance and mode shift.
+    For shifted_lognormal it records the log-scale variance and the mode
+    shift that residual_sampler computes in closed form.
     """
 
     family: str
@@ -141,7 +140,6 @@ class ResidualSampler:
     t_df: Optional[int] = None
     sigma2_star: Optional[float] = None
     mode_shift: Optional[float] = None
-    solver_tolerance: Optional[float] = None
 
     def draw(self, rng, n):
         if self.family == "normal":
@@ -168,32 +166,6 @@ def _integral(name, value):
 def _check_finite(name, value):
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-
-
-_LOGNORMAL_SOLVER_TOL = 1e-10
-
-
-def _solve_lognormal_sigma2(variance):
-    """Root of (e^s - 1) e^s = variance, s being the log-scale variance."""
-    target = float(variance)
-
-    def g(s):
-        return math.expm1(s) * math.exp(s)
-
-    lo, hi = 0.0, 1.0
-    while g(hi) < target:
-        hi *= 2.0
-        if hi > 700.0:
-            raise Infeasible(
-                f"cannot bracket lognormal scale for variance {variance!r}"
-            )
-    while hi - lo > _LOGNORMAL_SOLVER_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _residual_family(family, noise_variance, t_df):
@@ -229,19 +201,21 @@ def residual_sampler(family, noise_variance, t_df=None):
 
     normal: N(0, v). scaled_t: sqrt(v) * T_df, taken literally, so the
     realized variance is v * df / (df - 2). shifted_lognormal: a
-    log-normal with log-mean 0 whose log-scale variance solves
+    log-normal with log-mean 0 whose log-scale variance s solves
     (e^s - 1) e^s = v, shifted by its mode e^{-s} so the mode sits at 0.
+    That is a quadratic in e^s, whose root gives
+    e^s - 1 = v / (1/2 + sqrt(v + 1/4)) without cancellation or overflow.
     """
     family, t_df = _residual_family(family, noise_variance, t_df)
     if family != "shifted_lognormal":
         return ResidualSampler(family, noise_variance, t_df)
-    sigma2 = _solve_lognormal_sigma2(noise_variance)
+    v = noise_variance
+    sigma2 = math.log1p(v / (0.5 + math.sqrt(v + 0.25)))
     return ResidualSampler(
         family="shifted_lognormal",
         noise_variance=noise_variance,
         sigma2_star=sigma2,
         mode_shift=math.exp(-sigma2),
-        solver_tolerance=_LOGNORMAL_SOLVER_TOL,
     )
 
 

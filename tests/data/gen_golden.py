@@ -23,6 +23,7 @@ import numpy as np
 from eods import screen
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(os.path.dirname(HERE)), "src")
 
 
 def main():
@@ -49,7 +50,12 @@ def main():
                 row += ["", "NA", ""] if i % 2 == 0 else ["NA", "", "NA"]
             w.writerow(row)
 
+    # the CLI runs inside this directory, where a relative PYTHONPATH
+    # such as src would no longer find the package
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")])
+    )
     subprocess.run(
         [
             sys.executable, "-m", "eods.cli", "analyze",

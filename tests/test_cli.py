@@ -917,6 +917,43 @@ def test_screen_unknown_biomarker_rejected(capsys):
     assert "missing_col" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["7", "-1", "0", "nan", "inf"])
+def test_screen_rejects_bh_level_outside_unit_interval(
+    tmp_path, capsys, level
+):
+    # the input does not exist: the level is checked before it is read
+    out = tmp_path / "screen.csv"
+    code = main(
+        [
+            "screen",
+            "--input", str(tmp_path / "absent.csv"),
+            "--response", "resp",
+            "--bh-level", level,
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    want = f"--bh-level must lie in (0, 1], got {float(level)!r}"
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
+def test_screen_accepts_bh_level_one(tmp_path, capsys):
+    out = tmp_path / "screen.csv"
+    code = main(
+        [
+            "screen",
+            "--input", GOLDEN_STUDY,
+            "--response", "resp",
+            "--bh-level", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    said = capsys.readouterr().out
+    assert said.startswith("3 biomarkers screened; 3 with q-value <= 1.0\n")
+
+
 def test_screen_stdout_when_no_out_file(capsys):
     code = main(
         ["screen", "--input", GOLDEN_STUDY, "--response", "resp"]

@@ -119,10 +119,20 @@ def test_t_quantile_values():
     assert abs(dist.t_quantile(0.975, 18) - REF_T_Q_0975_18) < TOL_QUANTILE
     assert abs(dist.t_quantile(0.975, 1e6) - REF_NORM_Q_0975) < 1e-3
     assert abs(dist.t_quantile(0.025, 18) + REF_T_Q_0975_18) < TOL_QUANTILE
+    # an upper quantile is the exact mirror of the lower one at 1 - p.
+    # In double 1 - 0.975 is 0.025000000000000022, not 0.025, so the
+    # mirror of t_quantile(0.025, 18) is one ulp off, as SciPy's is too.
+    assert dist.t_quantile(0.975, 18) == -dist.t_quantile(1.0 - 0.975, 18)
+    assert math.isclose(
+        dist.t_quantile(0.975, 18), -dist.t_quantile(0.025, 18), rel_tol=1e-15
+    )
 
 
 def test_t_quantile_matches_scipy_in_the_tails():
-    for p in (1e-100, 1e-15, 1e-12, 2.5e-8, 1e-4, 0.025, 0.3):
+    lower = (1e-100, 1e-15, 1e-12, 2.5e-8, 1e-4, 0.025, 0.3)
+    # 1 - 1e-100 rounds to 1, outside the domain
+    upper = tuple(1.0 - p for p in lower if p > 1e-100)
+    for p in lower + upper:
         for df in (1, 2, 3, 5, 18, 200, 2000):
             want = float(scipy.stats.t.ppf(p, df))
             got = dist.t_quantile(p, df)

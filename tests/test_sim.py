@@ -147,7 +147,13 @@ def test_residual_sampler_lognormal_solver_constants():
     s = sim.residual_sampler("shifted_lognormal", 5.0)
     assert abs(s.sigma2_star - REF_LOGNORMAL_SIGMA2) < TOL_SOLVER
     assert abs(s.mode_shift - REF_LOGNORMAL_SHIFT) < TOL_SOLVER
-    assert s.solver_tolerance is not None
+
+
+@pytest.mark.parametrize("variance", [1e-12, 1e-6, 5.0, 1e6, 1e300])
+def test_residual_sampler_lognormal_scale_meets_its_variance(variance):
+    # the log-normal's variance (e^s - 1) e^s is the one asked for
+    s = sim.residual_sampler("shifted_lognormal", variance).sigma2_star
+    assert abs(math.expm1(s) * math.exp(s) / variance - 1.0) < 1e-13
 
 
 def test_residual_sampler_lognormal_variance_and_mode():
