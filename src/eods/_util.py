@@ -1,4 +1,9 @@
-"""Small shared helpers."""
+"""The argument rules that more than one module applies, one home each.
+
+design, sim and screen all plan or draw a selected subset of a cohort,
+so its size and the whole-number sizes around it are checked here and
+nowhere else. Nothing here needs NumPy.
+"""
 
 import math
 
@@ -14,6 +19,32 @@ def round_half_away_from_zero(x):
     if x >= 0:
         return int(math.floor(x + 0.5))
     return int(math.ceil(x - 0.5))
+
+
+def selected_count(gamma, n):
+    """Rows gamma selects of n: round(gamma * n), ties away from zero.
+
+    A count below 3, too few for a fit, raises DomainError.
+    """
+    n_selected = round_half_away_from_zero(gamma * n)
+    if n_selected < 3:
+        raise DomainError(
+            f"gamma {gamma!r} selects only {n_selected} of {n} rows; need 3"
+        )
+    return n_selected
+
+
+def whole_number(name, value, least):
+    """value as an int; DomainError unless it is a whole number >= least."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
 
 
 def check_gamma(gamma):

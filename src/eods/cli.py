@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -514,25 +515,17 @@ def _screen_columns(args):
 # ------------------------------------------------------------ simulate
 
 
-_GRID_LIST_KEYS = {
-    "n_full": int,
-    "beta_y": float,
-    "gamma": float,
-    "residual_family": str,
-    "sampling": str,
-    "estimator": str,
-}
+# the keys that take a list of values, in the grid's expansion order;
+# every other SimScenario field takes a single value
+_GRID_AXES = (
+    "n_full", "beta_y", "gamma", "residual_family", "sampling", "estimator",
+)
 # a ConfigError names a cell by these labels, the other keys as they are
 _CELL_LABELS = {"residual_family": "family"}
-_GRID_SCALAR_KEYS = {
-    "replicates": int,
-    "seed": int,
-    "alpha_y": float,
-    "noise_variance": float,
-    "x_mean": float,
-    "x_var": float,
-    "alpha_level": float,
-    "t_df": int,
+# each key's cast is its field's type, t_df's Optional[int] read as int
+_GRID_CASTS = {
+    f.name: int if f.type == Optional[int] else f.type
+    for f in dataclasses.fields(sim.SimScenario)
 }
 
 
@@ -564,29 +557,24 @@ def _parse_grid_config(path):
             raise ConfigError(
                 f"{path} line {line_no}: empty value for key {key!r}"
             )
-        if key in _GRID_LIST_KEYS:
-            cast = _GRID_LIST_KEYS[key]
-            try:
-                lists[key] = [cast(tok) for tok in tokens]
-            except ValueError:
-                raise ConfigError(
-                    f"{path} line {line_no}: cannot parse value for {key!r}"
-                )
-        elif key in _GRID_SCALAR_KEYS:
-            if len(tokens) != 1:
-                raise ConfigError(
-                    f"{path} line {line_no}: {key!r} expects a single value"
-                )
-            try:
-                scalars[key] = _GRID_SCALAR_KEYS[key](tokens[0])
-            except ValueError:
-                raise ConfigError(
-                    f"{path} line {line_no}: cannot parse value for {key!r}"
-                )
-        else:
+        if key not in _GRID_CASTS:
             raise ConfigError(
                 f"{path} line {line_no}: unknown key {key!r}"
             )
+        if key not in _GRID_AXES and len(tokens) != 1:
+            raise ConfigError(
+                f"{path} line {line_no}: {key!r} expects a single value"
+            )
+        try:
+            values = [_GRID_CASTS[key](tok) for tok in tokens]
+        except ValueError:
+            raise ConfigError(
+                f"{path} line {line_no}: cannot parse value for {key!r}"
+            )
+        if key in _GRID_AXES:
+            lists[key] = values
+        else:
+            scalars[key] = values[0]
 
     # SimScenario's fields say which keys are required, and the default
     # of an omitted list key; its required fields come first
@@ -595,12 +583,12 @@ def _parse_grid_config(path):
             continue
         if field.default is dataclasses.MISSING:
             raise ConfigError(f"{path}: missing required key {field.name!r}")
-        if field.name in _GRID_LIST_KEYS:
+        if field.name in _GRID_AXES:
             lists[field.name] = [field.default]
     t_df = scalars.pop("t_df", None)
     scenarios = []
-    for cell in itertools.product(*(lists[key] for key in _GRID_LIST_KEYS)):
-        kwargs = dict(zip(_GRID_LIST_KEYS, cell), **scalars)
+    for cell in itertools.product(*(lists[key] for key in _GRID_AXES)):
+        kwargs = dict(zip(_GRID_AXES, cell), **scalars)
         family = kwargs["residual_family"]
         if t_df is not None and family.startswith("scaled_t"):
             # a token like scaled_t(10) carries its own df; disagreement
@@ -611,7 +599,7 @@ def _parse_grid_config(path):
         except DomainError as exc:
             label = ", ".join(
                 f"{_CELL_LABELS.get(key, key)}={value}"
-                for key, value in zip(_GRID_LIST_KEYS, cell)
+                for key, value in zip(_GRID_AXES, cell)
             )
             raise ConfigError(f"{path}: cell ({label}): {exc}")
     return scenarios

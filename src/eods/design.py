@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import dist
-from ._util import check_alpha, check_gamma, round_half_away_from_zero
+from ._util import check_alpha, check_gamma, selected_count, whole_number
 from .errors import DomainError, Infeasible
 
 _MAX_N_FULL = 10_000_000
@@ -47,17 +47,16 @@ class DesignSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.n_full < 5:
-            raise DomainError(f"n_full must be at least 5, got {self.n_full!r}")
+        # frozen: the checks keep the values as given
+        whole_number("n_full", self.n_full, 5)
         check_gamma(self.gamma)
         _check_effect_f(self.effect_f)
         check_alpha(self.alpha)
-        if self.n_selected < 3:
-            raise DomainError("selected subset would have fewer than 3 subjects")
+        selected_count(self.gamma, self.n_full)
 
     @property
     def n_selected(self):
-        return round_half_away_from_zero(self.gamma * self.n_full)
+        return selected_count(self.gamma, self.n_full)
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,7 @@ def _slope_test_power(alpha, df2, ncp):
 
 def power_full(n, effect_f, alpha):
     """Power of the level-alpha slope test with all n subjects observed."""
-    if n < 4:
-        raise DomainError(f"n must be at least 4, got {n!r}")
+    whole_number("n", n, 4)
     _check_effect_f(effect_f)
     check_alpha(alpha)
     return _slope_test_power(alpha, n - 2, n * effect_f * effect_f)
@@ -172,12 +170,14 @@ def min_nfull_for_power(gamma, effect_f, alpha, target_power):
     subjects. Infeasible if no n_full up to 10,000,000 reaches the target.
     """
     check_gamma(gamma)
+    _check_effect_f(effect_f)
     _check_target_power(target_power, alpha)
 
     def meets(n):
-        if round_half_away_from_zero(gamma * n) < 3:
+        try:
+            spec = DesignSpec(n, gamma, effect_f, alpha)
+        except DomainError:  # the checks above leave only the count
             return False
-        spec = DesignSpec(n, gamma, effect_f, alpha)
         return power_eods(spec).power >= target_power
 
     n_full = _smallest_meeting(meets, 5, _MAX_N_FULL)

@@ -39,10 +39,8 @@ class FullResponseSummary:
     def from_responses(cls, responses):
         y = np.asarray(responses, dtype=float)
         n = y.shape[0]
-        if n < 3:
-            raise InsufficientData("full response sample must have n >= 3")
-        # an overflow shows as a non-finite var_y, which __post_init__
-        # rejects
+        # __post_init__ rejects n < 3 first, then a non-finite var_y: an
+        # overflow, or the 0/0 of n < 2, which stays quiet here
         with np.errstate(over="ignore", invalid="ignore"):
             mean, var = response_moments(y)
         return cls(n_full=n, mean_y=float(mean), var_y=float(var))
@@ -279,9 +277,8 @@ def estimate_rows(
     check_slope_ceiling(
         np.where(kept, beta_y, 0.0), var_y, rev.residual_variance
     )
-    t_mult = dist.t_quantile(
-        1.0 - (1.0 - confidence_level) / 2.0, n_selected - 2
-    )
+    # solved on the lower tail, so a level near 1 keeps its digits
+    t_mult = -dist.t_quantile((1.0 - confidence_level) / 2.0, n_selected - 2)
     return EstimateRows(
         beta_y=beta_y,
         alpha_y=alpha_y,

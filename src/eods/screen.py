@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from . import odeb, regress
-from ._util import check_gamma, round_half_away_from_zero
+from ._util import check_gamma, selected_count, whole_number
 from .errors import DegenerateInput, DomainError, InsufficientData
 
 
@@ -42,19 +42,6 @@ class ScreenRow:
     # tested rows strictly inside the untested response range; nonzero
     # means the tested subset does not look extreme
     rows_inside: int = 0
-
-
-def selected_count(gamma, n):
-    """Rows gamma selects of n: round(gamma * n), ties away from zero.
-
-    A count below 3, too few for a fit, raises DomainError.
-    """
-    n_selected = round_half_away_from_zero(gamma * n)
-    if n_selected < 3:
-        raise DomainError(
-            f"gamma {gamma!r} selects only {n_selected} of {n} rows; need 3"
-        )
-    return n_selected
 
 
 def extreme_rows(y, n_selected):
@@ -130,8 +117,7 @@ def select_extremes(responses, gamma):
     if not bool(np.all(np.isfinite(y))):
         raise DomainError("responses must be finite")
     check_gamma(gamma)
-    if n < 5:
-        raise DomainError(f"need at least 5 responses, got {n}")
+    whole_number("number of responses", n, 5)
     n_selected = selected_count(gamma, n)
     idx, low_tie, high_tie = extreme_rows(y[None], n_selected)
     low, high = np.split(idx[0], [n_selected // 2])

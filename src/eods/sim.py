@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import odeb, regress, screen
-from ._util import check_alpha, check_gamma, round_half_away_from_zero
+from ._util import check_alpha, check_gamma, selected_count, whole_number
 from .dist import t_quantile
 from .errors import (
     DomainError,
@@ -79,13 +79,9 @@ class SimScenario:
         self.residual_family, self.t_df = _residual_family(
             self.residual_family, self.noise_variance, self.t_df
         )
-        self.n_full = _integral("n_full", self.n_full)
-        self.replicates = _integral("replicates", self.replicates)
-        self.seed = _integral("seed", self.seed)
-        if self.n_full < 5:
-            raise DomainError(f"n_full must be at least 5, got {self.n_full}")
-        if self.replicates < 1:
-            raise DomainError("replicates must be at least 1")
+        self.n_full = whole_number("n_full", self.n_full, 5)
+        self.replicates = whole_number("replicates", self.replicates, 1)
+        self.seed = whole_number("seed", self.seed, 0)
         check_gamma(self.gamma)
         if not self.x_var > 0.0:
             raise DomainError("x_var must be positive")
@@ -96,12 +92,12 @@ class SimScenario:
             raise DomainError(f"unknown sampling {self.sampling!r}")
         if self.estimator not in ("ols", "odeb"):
             raise DomainError(f"unknown estimator {self.estimator!r}")
-        if not 0 <= self.seed <= _SEED_MAX:
+        if self.seed > _SEED_MAX:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
 
     @property
     def n_selected(self):
-        return round_half_away_from_zero(self.gamma * self.n_full)
+        return selected_count(self.gamma, self.n_full)
 
 
 @dataclass
@@ -153,16 +149,6 @@ class ResidualSampler:
         return draws - self.mode_shift
 
 
-def _integral(name, value):
-    """value as an int; DomainError unless it is a whole number."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_finite(name, value):
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
@@ -177,7 +163,7 @@ def _residual_family(family, noise_variance, t_df):
     token = _SCALED_T_TOKEN.match(str(family))
     if token:
         df = int(token.group(1))
-        if t_df is not None and _integral("t_df", t_df) != df:
+        if t_df is not None and whole_number("t_df", t_df, 3) != df:
             raise DomainError(
                 f"residual_family {family!r} conflicts with t_df={t_df!r}"
             )
@@ -191,9 +177,9 @@ def _residual_family(family, noise_variance, t_df):
         if t_df is not None:
             raise DomainError(f"t_df only applies to scaled_t, not {family!r}")
         return family, None
-    if t_df is None or _integral("t_df", t_df) <= 2:
+    if t_df is None:
         raise DomainError("scaled_t needs degrees of freedom above 2")
-    return family, int(t_df)
+    return family, whole_number("t_df", t_df, 3)
 
 
 def residual_sampler(family, noise_variance, t_df=None):
@@ -384,12 +370,9 @@ def _run_block(scenario, x, y, first, shared):
         if fit.overflow.any():
             row = int(np.argmax(fit.overflow))
             raise _beyond_range(first + row, regress.FIT_OVERFLOW)
-        half = t_quantile(1.0 - scenario.alpha_level / 2.0, fit.df) * (
-            fit.se_slope
+        return _interval(
+            scenario, fit.slope, fit.se_slope, fit.t_stat, ~fit.degenerate
         )
-        kept = ~fit.degenerate
-        lo, hi = fit.slope - half, fit.slope + half
-        return fit.slope[kept], lo[kept], hi[kept], fit.t_stat[kept]
     if "moments" not in shared:
         # an overflow shows as a non-finite moment, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -409,7 +392,6 @@ def _run_block(scenario, x, y, first, shared):
             mean_y[full],
             var_y[full],
             scenario.n_full,
-            1.0 - scenario.alpha_level,
         )
     except InsufficientData:
         return (np.empty(0),) * 4
@@ -418,13 +400,20 @@ def _run_block(scenario, x, y, first, shared):
         # est's rows are the block's rows with a positive variance
         row = int(np.flatnonzero(full)[np.argmax(overflow)])
         raise _beyond_range(first + row, regress.FIT_OVERFLOW)
-    kept = est.kept
-    return (
-        est.beta_y[kept],
-        est.ci_low[kept],
-        est.ci_high[kept],
-        est.reverse_fit.t_stat[kept],
+    return _interval(
+        scenario, est.beta_y, est.se_beta_y, est.reverse_fit.t_stat, est.kept
     )
+
+
+def _interval(scenario, est, se, t_stat, kept):
+    """(estimate, ci_low, ci_high, t_stat) of the kept rows, for either arm.
+
+    The two-sided t point is solved on the lower tail from alpha_level,
+    so a tiny alpha_level keeps its digits.
+    """
+    est, se = est[kept], se[kept]
+    half = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2) * se
+    return est, est - half, est + half, t_stat[kept]
 
 
 def _metrics(scenario, est, lo, hi, p):
@@ -473,7 +462,7 @@ def _run_group(scenarios):
     blocks = {}
     for i, s in enumerate(scenarios):
         try:
-            screen.selected_count(s.gamma, s.n_full)
+            selected_count(s.gamma, s.n_full)
             blocks[i] = []
         except DomainError as exc:
             outcomes[i] = exc

@@ -696,6 +696,14 @@ def test_plan_argument_validation(capsys):
     )
     assert main(["plan", "--n-full", "200", "--gamma", "0.2"]) == 2
     capsys.readouterr()
+    # too few selected subjects, in the words of every other command
+    assert (
+        main(["plan", "--n-full", "10", "--gamma", "0.2", "--effect-f", "0.3"])
+        == 2
+    )
+    assert "gamma 0.2 selects only 2 of 10 rows; need 3" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(
@@ -1220,6 +1228,24 @@ def test_simulate_config_errors(tmp_path, capsys):
             "cell (n_full=100, beta_y=nan, gamma=0.2, family=normal, "
             "sampling=extreme, estimator=odeb): "
             "beta_y must be finite, got nan",
+        ),
+        (
+            base.replace("n_full = 100", "n_full = 4"),
+            "cell (n_full=4, beta_y=0.0, gamma=0.2, family=normal, "
+            "sampling=extreme, estimator=odeb): "
+            "n_full must be at least 5, got 4",
+        ),
+        (
+            base.replace("replicates = 10", "replicates = 0"),
+            "cell (n_full=100, beta_y=0.0, gamma=0.2, family=normal, "
+            "sampling=extreme, estimator=odeb): "
+            "replicates must be at least 1, got 0",
+        ),
+        (
+            base.replace("seed = 7", "seed = -1"),
+            "cell (n_full=100, beta_y=0.0, gamma=0.2, family=normal, "
+            "sampling=extreme, estimator=odeb): "
+            "seed must be at least 0, got -1",
         ),
     ]
     for i, (text, needle) in enumerate(cases):

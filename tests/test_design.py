@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 
 from eods import design
+from eods._util import round_half_away_from_zero
 from eods.design import (
     DesignSpec,
     cohen_f2,
@@ -142,7 +143,7 @@ def test_power_eods_monotonicities():
 def test_power_at_least_size():
     for n in (20, 100, 400):
         for gamma in (0.1, 0.3, 1.0):
-            if design.round_half_away_from_zero(gamma * n) < 3:
+            if round_half_away_from_zero(gamma * n) < 3:
                 continue
             got = power_eods(DesignSpec(n, gamma, 0.0, 0.05))
             assert got.power >= 0.05 - 0.001
@@ -166,8 +167,12 @@ def test_design_spec_validation():
         DesignSpec(100, 0.5, -0.1, 0.05)
     with pytest.raises(DomainError):
         DesignSpec(100, 0.5, 0.3, 1.0)
-    with pytest.raises(DomainError):
-        DesignSpec(100, 0.02, 0.3, 0.05)  # subset would have 2 subjects
+    with pytest.raises(DomainError, match="selects only 2 of 100 rows"):
+        DesignSpec(100, 0.02, 0.3, 0.05)
+    with pytest.raises(DomainError, match="n_full must be an integer"):
+        DesignSpec(10.5, 0.4, 0.3, 0.05)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        power_full(10.5, 0.3, 0.05)
 
 
 def test_min_gamma_reference_search():
@@ -238,7 +243,7 @@ def test_power_eods_monotone_in_even_selection_and_n_full():
             powers = [
                 power_eods(DesignSpec(n, gamma, f, alpha)).power
                 for n in range(5, 301)
-                if design.round_half_away_from_zero(gamma * n) >= 3
+                if round_half_away_from_zero(gamma * n) >= 3
             ]
             assert all(b >= a for a, b in zip(powers, powers[1:])), (gamma, f)
 

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from eods import dist, odeb, regress, screen, sim
 from eods.errors import DegenerateInput, DomainError, InsufficientData
@@ -340,20 +341,20 @@ def _reference_metrics(scenario):
         try:
             if scenario.estimator == "ols":
                 fit = regress.fit_simple(regress.PairedSample(x[idx], y[idx]))
-                half = dist.t_quantile(
-                    1.0 - scenario.alpha_level / 2.0, fit.df
-                ) * fit.se_slope
-                est, lo, hi = fit.slope, fit.slope - half, fit.slope + half
-                p = fit.p_value
+                est, se, p = fit.slope, fit.se_slope, fit.p_value
             else:
                 subset = odeb.SelectedSubset.from_arrays(
                     x[idx], y[idx], len(idx) / scenario.n_full
                 )
                 full = odeb.FullResponseSummary.from_responses(y)
-                e = odeb.estimate(subset, full, 1.0 - scenario.alpha_level)
-                est, lo, hi, p = e.beta_y, e.ci_low, e.ci_high, e.p_value
+                e = odeb.estimate(subset, full)
+                est, se, p = e.beta_y, e.se_beta_y, e.p_value
         except (DegenerateInput, InsufficientData):
             continue
+        half = -dist.t_quantile(
+            scenario.alpha_level / 2.0, scenario.n_selected - 2
+        ) * se
+        lo, hi = est - half, est + half
         estimates.append(est)
         covered.append(lo <= scenario.beta_y <= hi)
         rejected.append(p <= scenario.alpha_level)
@@ -382,6 +383,11 @@ def _reference_metrics(scenario):
         # responses rounded to integer levels, as an ordinal score is:
         # the replicates of one block tie at their cuts
         dict(ordinal=True),
+        # two-sided t points far out in the tail
+        dict(estimator="ols", alpha_level=1e-15),
+        dict(estimator="ols", alpha_level=1e-17),
+        dict(alpha_level=1e-15),
+        dict(alpha_level=1e-17),
     ],
 )
 def test_run_scenario_matches_per_replicate_loop(monkeypatch, overrides):
@@ -396,6 +402,20 @@ def test_run_scenario_matches_per_replicate_loop(monkeypatch, overrides):
         monkeypatch.setattr(sim, "_draw_block", ordinal_block)
     s = _scenario(replicates=12, **overrides)
     assert sim.run_scenario(s) == _reference_metrics(s)
+
+
+def test_run_scenario_tiny_alpha_interval_matches_scipy():
+    s = _scenario(estimator="ols", alpha_level=1e-15, replicates=12)
+    t_point = scipy.stats.t.isf(s.alpha_level / 2.0, s.n_selected - 2)
+    lengths = []
+    for rep in range(s.replicates):
+        x, y = sim.generate_dataset(s, rep)
+        plan = screen.select_extremes(y, s.gamma)
+        idx = np.asarray(plan.low_indices + plan.high_indices)
+        fit = regress.fit_simple(regress.PairedSample(x[idx], y[idx]))
+        lengths.append(2.0 * t_point * fit.se_slope)
+    got = sim.run_scenario(s).mean_ci_length
+    assert got == pytest.approx(np.mean(lengths), rel=1e-9)
 
 
 def _reference_tails(row, n_selected):
