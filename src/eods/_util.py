@@ -6,6 +6,7 @@ nowhere else. Nothing here needs NumPy.
 """
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -53,5 +54,15 @@ def check_gamma(gamma):
 
 
 def check_alpha(alpha):
+    """DomainError unless alpha lies in (0, 1) and is a normal double.
+
+    A subnormal alpha keeps too few digits for its tail point, and its
+    half may round to zero.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if alpha < sys.float_info.min:
+        raise DomainError(
+            f"alpha must be at least {sys.float_info.min!r}, the smallest "
+            f"normal double, got {alpha!r}"
+        )

@@ -56,28 +56,41 @@ def extreme_rows(y, n_selected):
     and then its high-tail indices ascending; low_tie and high_tie flag
     the rows whose low or high cut value also occurs on a row left out.
 
-    A partition settles each row where no left-out value equals a cut
-    and the two cuts differ; one stable sort settles the other rows.
+    One sort gives every row's two cuts. A row is settled when the
+    values next to each cut in its sorted order differ from that cut:
+    its tails are then the values at or below the low cut and at or
+    above the high cut, found already in index order. One stable
+    argsort settles the other rows.
     """
     n = y.shape[1]
     n_low = n_selected // 2
     n_high = n_selected - n_low
-    order = np.argpartition(y, (n_low - 1, n - n_high), axis=1)
-    ranked = np.take_along_axis(y, order, axis=1)
+    ranked = np.sort(y, axis=1)
     low_cut = ranked[:, n_low - 1 : n_low]
     high_cut = ranked[:, n - n_high : n - n_high + 1]
-    rest = ranked[:, n_low : n - n_high]
-    tied = (low_cut == high_cut)[:, 0] | np.any(
-        (rest == low_cut) | (rest == high_cut), axis=1
-    )
+    # a left-out value equal to a cut sits next to it in the sorted row
+    tied = (
+        (low_cut == high_cut)
+        | (ranked[:, n_low : n_low + 1] == low_cut)
+        | (ranked[:, n - n_high - 1 : n - n_high] == high_cut)
+    )[:, 0]
+    idx = np.empty((len(y), n_selected), dtype=np.intp)
+    settled = np.flatnonzero(~tied)
+    if settled.size:
+        sub = y if settled.size == len(y) else y[settled]
+        # flat positions, row by row, less each row's first one
+        offset = n * np.arange(settled.size)[:, None]
+        low = np.flatnonzero(sub <= low_cut[settled]).reshape(-1, n_low)
+        high = np.flatnonzero(sub >= high_cut[settled]).reshape(-1, n_high)
+        idx[settled, :n_low] = low - offset
+        idx[settled, n_low:] = high - offset
     low_tie = np.zeros(len(y), dtype=bool)
     high_tie = np.zeros(len(y), dtype=bool)
     if tied.any():
         rows = np.flatnonzero(tied)
         # ascending by value, equal values in index order
-        sub = y[rows]
-        asc = np.argsort(sub, kind="stable", axis=1)
-        ranked = np.take_along_axis(sub, asc, axis=1)
+        asc = np.argsort(y[rows], kind="stable", axis=1)
+        ranked = ranked[rows]
         cut = ranked[:, n - n_high, None]
         # The values equal to the high cut that the low tail left sit at
         # [start, stop) of the sorted row; the high tail is the first
@@ -87,8 +100,10 @@ def extreme_rows(y, n_selected):
         need = (stop - (n - n_high))[:, None]
         j = np.arange(n_high)
         at = np.where(j < need, start[:, None] + j, stop[:, None] + j - need)
-        order[rows, :n_low] = asc[:, :n_low]
-        order[rows, n - n_high :] = np.take_along_axis(asc, at, axis=1)
+        idx[rows, :n_low] = np.sort(asc[:, :n_low], axis=1)
+        idx[rows, n_low:] = np.sort(
+            np.take_along_axis(asc, at, axis=1), axis=1
+        )
         high_tie[rows] = start + need[:, 0] < stop
         # A left-out value equal to the low cut sits right after the low
         # tail; when the two cuts are equal, it is one the high tail left.
@@ -97,9 +112,7 @@ def extreme_rows(y, n_selected):
             high_tie[rows],
             ranked[:, n_low] == ranked[:, n_low - 1],
         )
-    low = np.sort(order[:, :n_low], axis=1)
-    high = np.sort(order[:, n - n_high :], axis=1)
-    return np.concatenate([low, high], axis=1), low_tie, high_tie
+    return idx, low_tie, high_tie
 
 
 def select_extremes(responses, gamma):

@@ -8,9 +8,11 @@ over replicates.
 Determinism contract: every replicate derives its own generator from
 (seed, replicate_index, stream), so results are bit-identical for a
 fixed seed no matter how work is scheduled across processes. Stream 0
-drives data generation, stream 1 the random-sampling subset draw;
-scenarios differing only in sampling, estimator, gamma or alpha_level
-therefore see the same data replicate-for-replicate (paired comparison).
+drives x and the noise, stream 1 the random-sampling subset draw, and
+y = alpha_y + beta_y * x + noise; scenarios differing only in sampling,
+estimator, gamma, alpha_level, alpha_y or beta_y therefore see the same
+x and noise replicate-for-replicate (paired comparison), and those that
+also share the effect (alpha_y, beta_y) the same y.
 
 The engine works on blocks of replicates, row r of a (rows, n_full)
 array being one replicate; each row is still drawn from its own
@@ -19,11 +21,11 @@ are derived for a whole data group at once, with the SeedSequence hash
 written over an array of replicate indices, and one generator per
 stream is re-keyed row by row. A block holds about _BLOCK_ELEMENTS
 values whatever n_full is, which bounds memory. run_grid groups the
-scenarios that share data, draws each group's blocks once and runs
-every scenario of the group on them; selection, fits and intervals are
-computed row-wise, and a replicate whose subset degenerates is dropped
-from its own scenario only. The slope-test p-values of a whole run come
-from one array call.
+scenarios that share a residual law, draws each group's x and noise
+once per block, forms y once per effect and runs every scenario of that
+effect on it; selection, fits and intervals are computed row-wise, and
+a replicate whose subset degenerates is dropped from its own scenario
+only. The slope-test p-values of a whole run come from one array call.
 
 Extreme sampling picks every replicate's tails with screen.extreme_rows,
 the function behind screen.select_extremes, so a replicate's subset is
@@ -286,24 +288,33 @@ def _rekey(rng, key):
     }
 
 
-def _draw_block(scenario, sampler, rng, keys, first):
-    """Replicates first .. first + len(keys) - 1 as (rows, n_full) x and y.
+def _draw_block(scenario, sampler, rng, keys):
+    """A block's stream-0 draws as (rows, n_full) x and eps, unchecked.
 
-    keys is (rows, 2) uint64, each row's stream-0 Philox key. Data that
-    overflow double range raise DomainError.
+    keys is (rows, 2) uint64, each row's Philox key. A draw beyond
+    double range shows as a non-finite value, which _responses rejects.
     """
     n = scenario.n_full
     x_sd = math.sqrt(scenario.x_var)
     x = np.empty((len(keys), n))
     eps = np.empty((len(keys), n))
-    # the overflow shows as a non-finite value, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for i, key in enumerate(keys.tolist()):
             _rekey(rng, key)
             x[i] = rng.normal(scenario.x_mean, x_sd, n)
             eps[i] = sampler.draw(rng, n)
+    return x, eps
+
+
+def _responses(scenario, x, eps, first):
+    """The block's y = alpha_y + beta_y * x + eps under scenario's effect.
+
+    first is the replicate index of the block's first row. A y beyond
+    double range raises DomainError; a non-finite x or eps makes y
+    non-finite too, so this one check covers the draws as well.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         y = scenario.alpha_y + scenario.beta_y * x + eps
-    # a non-finite x makes its y non-finite too
     finite = np.isfinite(y)
     if not finite.all():
         row = first + int(np.argmin(finite.all(axis=1)))
@@ -311,7 +322,7 @@ def _draw_block(scenario, sampler, rng, keys, first):
             f"replicate {row} draws values beyond double range; the "
             "scenario's scales are too large"
         )
-    return x, y
+    return y
 
 
 def generate_dataset(scenario, replicate_index):
@@ -320,22 +331,25 @@ def generate_dataset(scenario, replicate_index):
         scenario.residual_family, scenario.noise_variance, scenario.t_df
     )
     keys = _philox_keys(scenario.seed, [replicate_index], 0)
-    x, y = _draw_block(
-        scenario, sampler, _keyed_generator(), keys, replicate_index
-    )
-    return x[0], y[0]
+    x, eps = _draw_block(scenario, sampler, _keyed_generator(), keys)
+    return x[0], _responses(scenario, x, eps, replicate_index)[0]
 
 
-def _random_indices(scenario, rng, keys):
-    """Each row's sorted random subset, drawn from its stream-1 key."""
-    idx = np.empty((len(keys), scenario.n_selected), dtype=np.intp)
-    for i, key in enumerate(keys.tolist()):
-        _rekey(rng, key)
-        picked = rng.choice(
-            scenario.n_full, size=scenario.n_selected, replace=False
-        )
-        idx[i] = np.sort(picked)
-    return idx
+def _random_subset(scenario, x, rng, keys, subsets):
+    """Each row's sorted random subset and its x, as (idx, x_sub).
+
+    Each row's subset is drawn from its stream-1 key. Neither depends on
+    the effect, so subsets caches them once per block and n_selected.
+    """
+    k = scenario.n_selected
+    if k not in subsets:
+        idx = np.empty((len(keys), k), dtype=np.intp)
+        for i, key in enumerate(keys.tolist()):
+            _rekey(rng, key)
+            picked = rng.choice(scenario.n_full, size=k, replace=False)
+            idx[i] = np.sort(picked)
+        subsets[k] = idx, np.take_along_axis(x, idx, axis=1)
+    return subsets[k]
 
 
 def _beyond_range(replicate, what):
@@ -349,21 +363,20 @@ def _run_block(scenario, x, y, first, shared):
     """(estimate, ci_low, ci_high, t_stat) of a block's kept replicates.
 
     first is the replicate index of the block's first row. shared
-    caches, per block, what scenarios of one group can reuse: the
-    selected subsets and the full-response moments. It also holds, under
-    "random", the generator and the block's stream-1 keys. A fit or a
+    caches, per block and effect, what the scenarios of that effect can
+    reuse: the gathered subsets and the full-response moments. Under
+    "random" it holds the generator, the block's stream-1 keys and the
+    block's random subsets, which every effect shares. A fit or a
     response variance beyond double range raises DomainError.
     """
     key = (scenario.sampling, scenario.n_selected)
     if key not in shared:
         if scenario.sampling == "extreme":
             idx = screen.extreme_rows(y, scenario.n_selected)[0]
+            x_sub = np.take_along_axis(x, idx, axis=1)
         else:
-            idx = _random_indices(scenario, *shared["random"])
-        shared[key] = (
-            np.take_along_axis(x, idx, axis=1),
-            np.take_along_axis(y, idx, axis=1),
-        )
+            idx, x_sub = _random_subset(scenario, x, *shared["random"])
+        shared[key] = x_sub, np.take_along_axis(y, idx, axis=1)
     x_sub, y_sub = shared[key]
     if scenario.estimator == "ols":
         fit = regress.fit_rows(x_sub, y_sub)
@@ -437,8 +450,13 @@ def _metrics(scenario, est, lo, hi, p):
     )
 
 
-# The fields a scenario may change without changing its data.
-_ARM_FIELDS = ("sampling", "estimator", "gamma", "alpha_level")
+# The fields a scenario may change without changing its draws: the arm
+# and the effect. Scenarios equal in every other field form one data
+# group, one residual law's x and noise; y = alpha_y + beta_y * x + eps
+# is formed from them once per effect.
+_ARM_FIELDS = (
+    "sampling", "estimator", "gamma", "alpha_level", "alpha_y", "beta_y"
+)
 
 
 def _data_key(scenario):
@@ -454,13 +472,16 @@ def _run_group(scenarios):
 
     Returns, per scenario, its kept replicates' (estimate, ci_low,
     ci_high, t_stat) arrays, or the EodsError that stopped it; one
-    scenario's error leaves the others running, and data that overflow
-    stop every scenario of the group. Each stream's keys are derived
-    once for the whole group.
+    scenario's error leaves the others running. Each block's x and
+    noise are drawn once, and its y once per effect (alpha_y, beta_y);
+    a y beyond double range stops every scenario of that effect. Each
+    stream's keys are derived once for the whole group.
     """
     outcomes = [None] * len(scenarios)
     blocks = {}
+    effects = {}  # (alpha_y, beta_y) -> indices, in first-seen order
     for i, s in enumerate(scenarios):
+        effects.setdefault((s.alpha_y, s.beta_y), []).append(i)
         try:
             selected_count(s.gamma, s.n_full)
             blocks[i] = []
@@ -488,24 +509,30 @@ def _run_group(scenarios):
         if not blocks:
             break
         block = slice(first, first + rows)
-        try:
-            x, y = _draw_block(data, sampler, rng, keys[block], first)
-        except DomainError as exc:
-            for i in blocks:
-                outcomes[i] = exc
-            blocks = {}
-            break
-        shared = {}
+        x, eps = _draw_block(data, sampler, rng, keys[block])
+        random = None
         if random_keys is not None:
-            shared["random"] = (random_rng, random_keys[block])
-        for i in list(blocks):
+            random = (random_rng, random_keys[block], {})
+        for members in effects.values():
+            running = [i for i in members if i in blocks]
+            if not running:
+                continue
             try:
-                blocks[i].append(
-                    _run_block(scenarios[i], x, y, first, shared)
-                )
-            except EodsError as exc:
-                outcomes[i] = exc
-                del blocks[i]
+                y = _responses(scenarios[members[0]], x, eps, first)
+            except DomainError as exc:
+                for i in running:
+                    outcomes[i] = exc
+                    del blocks[i]
+                continue
+            shared = {"random": random}
+            for i in running:
+                try:
+                    blocks[i].append(
+                        _run_block(scenarios[i], x, y, first, shared)
+                    )
+                except EodsError as exc:
+                    outcomes[i] = exc
+                    del blocks[i]
     for i, parts in blocks.items():
         outcomes[i] = tuple(np.concatenate(part) for part in zip(*parts))
     return outcomes
@@ -554,11 +581,13 @@ def run_grid(scenarios, workers=1):
 
     Row order follows input order. A failing scenario yields a row with
     its error message rather than aborting the grid. Scenarios that
-    differ only in sampling, estimator, gamma or alpha_level form one
-    group and share its data draws; workers > 1 fans groups out to
-    processes, and the per-replicate seeding makes output identical for
-    any worker count. The p-values of the whole grid are computed at
-    once, in this process.
+    differ only in sampling, estimator, gamma, alpha_level, alpha_y or
+    beta_y form one group and share its x and noise draws; those that
+    also share (alpha_y, beta_y) share y and its subsets. workers > 1
+    fans groups out to processes, so a grid at one residual law and
+    n_full runs in one process; the per-replicate seeding makes output
+    identical for any worker count. The p-values of the whole grid are
+    computed at once, in this process.
     """
     scenarios = list(scenarios)
     if not scenarios:

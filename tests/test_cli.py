@@ -706,6 +706,39 @@ def test_plan_argument_validation(capsys):
     )
 
 
+SMALLEST_NORMAL = "2.2250738585072014e-308"
+
+
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-320", "1e-310"])
+def test_plan_rejects_subnormal_alpha(capsys, alpha):
+    argv = ["plan", "--n-full", "200", "--gamma", "0.2", "--effect-f", "0.3"]
+    assert main(argv + ["--alpha", alpha]) == 2
+    assert capsys.readouterr().err == (
+        f"error: alpha must be at least {SMALLEST_NORMAL}, the smallest "
+        f"normal double, got {alpha}\n"
+    )
+    # the smallest normal double plans
+    assert main(argv + ["--alpha", SMALLEST_NORMAL]) == 0
+
+
+def test_simulate_rejects_a_subnormal_alpha_level(tmp_path, capsys):
+    base = (
+        "n_full = 100\nbeta_y = 0.4\ngamma = 0.2\nsampling = extreme\n"
+        "estimator = ols\nreplicates = 5\nseed = 7\n"
+    )
+    cfg = tmp_path / "tiny.cfg"
+    out = tmp_path / "tiny.csv"
+    _write_config(cfg, base + "alpha_level = 1e-320\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "estimator=ols): alpha must be at least "
+        f"{SMALLEST_NORMAL}, the smallest normal double, got 1e-320\n"
+    )
+    _write_config(cfg, base + f"alpha_level = {SMALLEST_NORMAL}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _read_csv(out)[1][-1] == ""  # the cell ran
+
+
 @pytest.mark.parametrize(
     "design",
     [

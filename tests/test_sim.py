@@ -392,16 +392,26 @@ def _reference_metrics(scenario):
 )
 def test_run_scenario_matches_per_replicate_loop(monkeypatch, overrides):
     overrides = dict(overrides)
-    if overrides.pop("ordinal", False):
-        draw_block = sim._draw_block
+    ordinal = overrides.pop("ordinal", False)
+    if ordinal:
+        responses = sim._responses
+        monkeypatch.setattr(
+            sim, "_responses", lambda *args: np.round(responses(*args))
+        )
+        extreme_rows = screen.extreme_rows
+        tied_rows = []
 
-        def ordinal_block(*args):
-            x, y = draw_block(*args)
-            return x, np.round(y)
+        def recording_extreme_rows(y, n_selected):
+            out = extreme_rows(y, n_selected)
+            tied_rows.append(np.count_nonzero(out[1] | out[2]))
+            return out
 
-        monkeypatch.setattr(sim, "_draw_block", ordinal_block)
+        monkeypatch.setattr(screen, "extreme_rows", recording_extreme_rows)
     s = _scenario(replicates=12, **overrides)
     assert sim.run_scenario(s) == _reference_metrics(s)
+    if ordinal:
+        # the tie masks are set only on the stable-argsort path
+        assert sum(tied_rows) > 0
 
 
 def test_run_scenario_tiny_alpha_interval_matches_scipy():
@@ -473,6 +483,33 @@ def test_block_selection_matches_select_extremes():
         block = rng.integers(0, levels, size=(6, n)).astype(float)
         for n_selected in range(3, n + 1):
             _assert_reference_tails(block, n_selected)
+
+
+def _tie_beside(row, at, beside):
+    # the value at sorted position beside set equal to the one at at
+    order = np.argsort(row)
+    row = row.copy()
+    row[order[beside]] = row[order[at]]
+    return row
+
+
+def test_block_selection_matches_reference_on_continuous_rows():
+    rng = np.random.default_rng(29)
+    for n in (5, 6, 7, 10, 33, 200, 2000):
+        for n_selected in sorted({3, 4, n // 5, n // 2 + 1, n - 1, n}):
+            if n_selected < 3:
+                continue
+            n_low = n_selected // 2
+            n_high = n_selected - n_low
+            block = rng.normal(size=(6, n))
+            tied = n > n_selected
+            if tied:
+                # settled rows and rows tied at one cut, in one call
+                block[1] = _tie_beside(block[1], n_low - 1, n_low)
+                block[4] = _tie_beside(block[4], n - n_high, n - n_high - 1)
+            low_tie, high_tie = _assert_reference_tails(block, n_selected)
+            assert np.flatnonzero(low_tie).tolist() == [1] * tied
+            assert np.flatnonzero(high_tie).tolist() == [4] * tied
 
 
 def test_results_do_not_depend_on_block_size(monkeypatch):
@@ -650,3 +687,60 @@ def test_run_grid_computes_p_values_once(monkeypatch):
     kernel.clear()
     assert sim.run_scenario(grid[0]) == want[0].metrics
     assert len(kernel) == 1
+
+
+def test_one_law_group_shares_draws_across_effects():
+    # three slopes and two intercepts at one residual law: one data group
+    grid = [
+        _scenario(
+            n_full=80, beta_y=b, alpha_y=a, gamma=g, sampling=samp,
+            estimator=est, replicates=25, seed=17,
+        )
+        for b in (0.0, 0.4, -0.4)
+        for a in (5.0, -1.0)
+        for samp in ("extreme", "random")
+        for est in ("odeb", "ols")
+        for g in (0.2, 0.3)
+    ]
+    assert len({sim._data_key(s) for s in grid}) == 1
+    want = [sim.GridResult(s, sim.run_scenario(s)) for s in grid]
+    assert sim.run_grid(grid, workers=1) == want
+    assert sim.run_grid(grid, workers=3) == want
+
+
+def test_draw_block_runs_once_per_law_group_and_block(monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 2 * 60)  # 2 rows a block
+    grid = [
+        _scenario(
+            n_full=60, beta_y=b, residual_family=family, sampling=samp,
+            replicates=7, seed=5,
+        )
+        for family in ("normal", "scaled_t(10)")
+        for b in (0.0, 0.4, -0.4)
+        for samp in ("extreme", "random")
+    ]
+    calls = _counting(monkeypatch, sim, "_draw_block")
+    sim.run_grid(grid)
+    assert len(calls) == 2 * 4  # 2 law groups, 4 blocks of 7 replicates
+
+
+def test_overflowing_effect_fails_only_its_own_cells():
+    # beta_y * x overflows at 1e300 only; the 0.4 cells of the same law
+    # group run as they would alone
+    grid = [
+        _scenario(
+            n_full=50, beta_y=b, x_var=1e20, replicates=5, seed=1,
+            sampling=samp, estimator=est,
+        )
+        for b in (0.4, 1e300)
+        for samp in ("extreme", "random")
+        for est in ("ols", "odeb")
+    ]
+    rows = sim.run_grid(grid)
+    failed = [r for r in rows if r.scenario.beta_y == 1e300]
+    assert [r.metrics for r in failed] == [None] * 4
+    assert len({r.error for r in failed}) == 1
+    assert "draws values beyond double range" in failed[0].error
+    for r in rows[:4]:
+        assert r.error is None
+        assert r.metrics == sim.run_scenario(r.scenario)
