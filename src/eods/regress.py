@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dist
-from .dist import _BETACF_EPS, _BETACF_MAX_ITER, _FPMIN
 from .errors import DegenerateInput, DomainError
 
 TOO_FEW_PAIRS = "need at least 3 paired observations"
@@ -110,102 +109,16 @@ class FitRows:
             df=self.df,
             r_squared=r_squared,
             t_stat=t_stat,
-            p_value=2.0 * dist.t_cdf(-abs(t_stat), self.df),
+            p_value=float(slope_p_values(t_stat, self.df)),
             residuals=self.residuals,
         )
-
-
-def _betacf_rows(a, b, x):
-    """dist._betacf entry by entry, on 1-D arrays of equal length.
-
-    The same operations in the same order, so every entry has the bits
-    of the scalar loop. An entry leaves the loop once it converges; an
-    entry that reaches _BETACF_MAX_ITER keeps its h, as the scalar loop
-    does.
-    """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-    d = 1.0 / d
-    h = d
-    out = np.empty_like(x)
-    live = np.arange(x.shape[0])
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _BETACF_EPS
-        if done.any():
-            out[live[done]] = h[done]
-            going = ~done
-            live, a, b, x, qab, qap, qam, c, d, h = (
-                v[going] for v in (live, a, b, x, qab, qap, qam, c, d, h)
-            )
-            if not live.shape[0]:
-                break
-    out[live] = h
-    return out
-
-
-def _incomplete_beta_rows(a, b, x):
-    """dist.regularized_incomplete_beta(a[i], b, x[i]) entry by entry.
-
-    a and x are 1-D arrays of equal length and b is one float; a NaN x
-    gives NaN. Sums and products are numpy's, in the scalar function's
-    order, but log, log1p and exp go through math per value: numpy's are
-    not guaranteed to round the same.
-    """
-    out = x.copy()  # x = 0 gives 0, x = 1 gives 1
-    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
-    if not inner.shape[0]:
-        return out
-    a, x = a[inner], x[inner]
-    n = x.shape[0]
-    distinct, at = np.unique(a, return_inverse=True)
-    ln_beta = np.array(
-        [
-            math.lgamma(v + b) - math.lgamma(v) - math.lgamma(b)
-            for v in distinct.tolist()
-        ]
-    )
-    ln_x = np.fromiter(map(math.log, x.tolist()), float, n)
-    ln_1mx = np.fromiter(map(math.log1p, (-x).tolist()), float, n)
-    ln_front = ln_beta[at] + a * ln_x + b * ln_1mx
-    front = np.fromiter(map(math.exp, ln_front.tolist()), float, n)
-    lower = x < (a + 1.0) / (a + b + 2.0)
-    # above the mean, I_x(a, b) = 1 - I_{1-x}(b, a), as in the scalar code
-    cf = _betacf_rows(
-        np.where(lower, a, b),
-        np.where(lower, b, a),
-        np.where(lower, x, 1.0 - x),
-    )
-    out[inner] = np.where(lower, front * cf / a, 1.0 - front * cf / b)
-    return out
 
 
 def slope_p_values(t_stat, df):
     """Two-sided slope-test p-values: 2 * dist.t_cdf(-|t|, df) entry by entry.
 
     t_stat and df broadcast together, so df may be one value or one per
-    entry. Each entry has the bits of the scalar call; a NaN t gives
-    NaN. The kernel costs more than the scalar loop below about a
-    hundred values, so call it once on as many values as there are.
+    entry; a NaN t gives NaN.
     """
     t, df = np.broadcast_arrays(
         np.asarray(t_stat, dtype=float), np.asarray(df, dtype=float)
@@ -214,14 +127,11 @@ def slope_p_values(t_stat, df):
         raise DomainError(
             f"degrees of freedom must be positive, got {float(df.min())!r}"
         )
-    shape = t.shape
-    x = -np.abs(t.ravel())
-    df = df.ravel()
-    # as in the scalar code, a huge t squares to inf and gives p = 0
-    with np.errstate(over="ignore"):
-        xx = df / (df + x * x)
-        tail = 0.5 * _incomplete_beta_rows(0.5 * df, 0.5, xx)
-    return (2.0 * tail).reshape(shape)
+    p = [
+        math.nan if math.isnan(v) else 2.0 * dist.t_cdf(-abs(v), d)
+        for v, d in zip(t.ravel().tolist(), df.ravel().tolist())
+    ]
+    return np.array(p, dtype=float).reshape(t.shape)
 
 
 def fit_rows(predictor, response):

@@ -25,7 +25,9 @@ scenarios that share a residual law, draws each group's x and noise
 once per block, forms y once per effect and runs every scenario of that
 effect on it; selection, fits and intervals are computed row-wise, and
 a replicate whose subset degenerates is dropped from its own scenario
-only. The slope-test p-values of a whole run come from one array call.
+only. A replicate rejects the null when its |t| reaches the interval's
+two-sided t point, so no p-value is computed; each group's metrics are
+finished in the process that ran it.
 
 Extreme sampling picks every replicate's tails with screen.extreme_rows,
 the function behind screen.select_extremes, so a replicate's subset is
@@ -110,7 +112,7 @@ class SimMetrics:
     bias: float
     rmse: float
     mae: float  # median absolute error
-    rejection_rate: float
+    rejection_rate: float  # share with |t| at or past the two-sided t point
     ci_coverage: float
     mean_ci_length: float
     replicates_used: int
@@ -360,7 +362,7 @@ def _beyond_range(replicate, what):
 
 
 def _run_block(scenario, x, y, first, shared):
-    """(estimate, ci_low, ci_high, t_stat) of a block's kept replicates.
+    """(estimate, ci_low, ci_high, rejected) of a block's kept replicates.
 
     first is the replicate index of the block's first row. shared
     caches, per block and effect, what the scenarios of that effect can
@@ -419,17 +421,20 @@ def _run_block(scenario, x, y, first, shared):
 
 
 def _interval(scenario, est, se, t_stat, kept):
-    """(estimate, ci_low, ci_high, t_stat) of the kept rows, for either arm.
+    """(estimate, ci_low, ci_high, rejected) of the kept rows, for either arm.
 
     The two-sided t point is solved on the lower tail from alpha_level,
-    so a tiny alpha_level keeps its digits.
+    so a tiny alpha_level keeps its digits. A row rejects the null when
+    |t| reaches that point, which is p <= alpha_level for the slope
+    test's two-sided p-value.
     """
     est, se = est[kept], se[kept]
-    half = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2) * se
-    return est, est - half, est + half, t_stat[kept]
+    t_point = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2)
+    half = t_point * se
+    return est, est - half, est + half, np.abs(t_stat[kept]) >= t_point
 
 
-def _metrics(scenario, est, lo, hi, p):
+def _metrics(scenario, est, lo, hi, rejected):
     used = est.shape[0]
     if used == 0:
         nan = math.nan
@@ -441,7 +446,7 @@ def _metrics(scenario, est, lo, hi, p):
         bias=mean_est - scenario.beta_y,
         rmse=float(np.sqrt(np.mean(err * err))),
         mae=float(np.median(np.abs(err))),
-        rejection_rate=float(np.mean(p <= scenario.alpha_level)),
+        rejection_rate=float(np.mean(rejected)),
         ci_coverage=float(
             np.mean((lo <= scenario.beta_y) & (scenario.beta_y <= hi))
         ),
@@ -470,12 +475,12 @@ def _data_key(scenario):
 def _run_group(scenarios):
     """Run scenarios that share one _data_key on the same replicate blocks.
 
-    Returns, per scenario, its kept replicates' (estimate, ci_low,
-    ci_high, t_stat) arrays, or the EodsError that stopped it; one
-    scenario's error leaves the others running. Each block's x and
-    noise are drawn once, and its y once per effect (alpha_y, beta_y);
-    a y beyond double range stops every scenario of that effect. Each
-    stream's keys are derived once for the whole group.
+    Returns, per scenario, its SimMetrics, or the EodsError that
+    stopped it; one scenario's error leaves the others running. Each
+    block's x and noise are drawn once, and its y once per effect
+    (alpha_y, beta_y); a y beyond double range stops every scenario of
+    that effect. Each stream's keys are derived once for the whole
+    group.
     """
     outcomes = [None] * len(scenarios)
     blocks = {}
@@ -534,33 +539,10 @@ def _run_group(scenarios):
                     outcomes[i] = exc
                     del blocks[i]
     for i, parts in blocks.items():
-        outcomes[i] = tuple(np.concatenate(part) for part in zip(*parts))
+        outcomes[i] = _metrics(
+            scenarios[i], *(np.concatenate(part) for part in zip(*parts))
+        )
     return outcomes
-
-
-def _results(scenarios, outcomes):
-    """SimMetrics or EodsError per scenario, from _run_group's outcomes.
-
-    Every p-value comes from one regress.slope_p_values call, df being
-    n_selected - 2 per scenario: the array kernel pays off only on many
-    values at once.
-    """
-    done = [
-        (s, out)
-        for s, out in zip(scenarios, outcomes)
-        if not isinstance(out, EodsError)
-    ]
-    lengths = np.array([len(out[3]) for _, out in done], dtype=np.intp)
-    p = regress.slope_p_values(
-        np.concatenate([np.empty(0)] + [out[3] for _, out in done]),
-        np.repeat([float(s.n_selected - 2) for s, _ in done], lengths),
-    )
-    p_parts = iter(np.split(p, np.cumsum(lengths)[:-1]))
-    return [
-        out if isinstance(out, EodsError)
-        else _metrics(s, *out[:3], next(p_parts))
-        for s, out in zip(scenarios, outcomes)
-    ]
 
 
 def run_scenario(scenario):
@@ -570,7 +552,7 @@ def run_scenario(scenario):
     variance) are dropped and excluded from replicates_used; the run
     itself never aborts on one bad replicate.
     """
-    (outcome,) = _results([scenario], _run_group([scenario]))
+    (outcome,) = _run_group([scenario])
     if isinstance(outcome, EodsError):
         raise outcome
     return outcome
@@ -586,8 +568,7 @@ def run_grid(scenarios, workers=1):
     also share (alpha_y, beta_y) share y and its subsets. workers > 1
     fans groups out to processes, so a grid at one residual law and
     n_full runs in one process; the per-replicate seeding makes output
-    identical for any worker count. The p-values of the whole grid are
-    computed at once, in this process.
+    identical for any worker count.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -614,5 +595,5 @@ def run_grid(scenarios, workers=1):
     return [
         GridResult(s, None, str(out)) if isinstance(out, EodsError)
         else GridResult(s, out)
-        for s, out in zip(scenarios, _results(scenarios, outcomes))
+        for s, out in zip(scenarios, outcomes)
     ]

@@ -388,11 +388,38 @@ def _reference_metrics(scenario):
         dict(estimator="ols", alpha_level=1e-17),
         dict(alpha_level=1e-15),
         dict(alpha_level=1e-17),
+        # responses equal to +-x in every other replicate: exact fits,
+        # whose slope t is +-inf, in both arms
+        dict(exact=True),
+        dict(exact=True, estimator="ols"),
     ],
 )
 def test_run_scenario_matches_per_replicate_loop(monkeypatch, overrides):
     overrides = dict(overrides)
     ordinal = overrides.pop("ordinal", False)
+    exact = overrides.pop("exact", False)
+    if exact:
+        responses = sim._responses
+
+        def exact_responses(scenario, x, eps, first):
+            # the replicate index decides, so a block and a single
+            # replicate agree
+            y = responses(scenario, x, eps, first)
+            kind = (first + np.arange(len(y))) % 4
+            y[kind == 0] = x[kind == 0]
+            y[kind == 1] = -x[kind == 1]
+            return y
+
+        monkeypatch.setattr(sim, "_responses", exact_responses)
+        fit_rows = regress.fit_rows
+        infinite_t = set()
+
+        def recording_fit_rows(predictor, response):
+            fit = fit_rows(predictor, response)
+            infinite_t.update(fit.t_stat[np.isinf(fit.t_stat)].tolist())
+            return fit
+
+        monkeypatch.setattr(regress, "fit_rows", recording_fit_rows)
     if ordinal:
         responses = sim._responses
         monkeypatch.setattr(
@@ -412,6 +439,8 @@ def test_run_scenario_matches_per_replicate_loop(monkeypatch, overrides):
     if ordinal:
         # the tie masks are set only on the stable-argsort path
         assert sum(tied_rows) > 0
+    if exact:
+        assert infinite_t == {math.inf, -math.inf}
 
 
 def test_run_scenario_tiny_alpha_interval_matches_scipy():
@@ -663,8 +692,10 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_run_grid_computes_p_values_once(monkeypatch):
-    # 48 cells in 12 data groups, one of them failing
+def test_run_grid_computes_no_p_values(monkeypatch):
+    # 48 cells in 12 data groups, one of them failing; a replicate is
+    # rejected at its interval's t point, so with the t-quantile cache
+    # warm no p-value and no t cdf is computed
     grid = [
         _scenario(
             n_full=n, beta_y=b, residual_family=family, sampling=samp,
@@ -679,14 +710,12 @@ def test_run_grid_computes_p_values_once(monkeypatch):
     grid[5] = dataclasses.replace(grid[5], gamma=0.05)  # selects 2 rows
     want = sim.run_grid(grid)  # also fills the t-quantile cache
     assert sum(r.error is not None for r in want) == 1
-    kernel = _counting(monkeypatch, regress, "slope_p_values")
+    p_values = _counting(monkeypatch, regress, "slope_p_values")
     t_cdf = _counting(monkeypatch, dist, "t_cdf")
     assert sim.run_grid(grid) == want
-    assert len(kernel) == 1
-    assert t_cdf == []
-    kernel.clear()
     assert sim.run_scenario(grid[0]) == want[0].metrics
-    assert len(kernel) == 1
+    assert p_values == []
+    assert t_cdf == []
 
 
 def test_one_law_group_shares_draws_across_effects():
