@@ -7,10 +7,13 @@ its arguments; no global state.
 
 Accuracy targets: cdfs to about 1e-12 absolute, quantiles to 1e-10,
 noncentral-F series truncated when the remaining Poisson mass drops
-below 1e-12. The normal quantile is Wichura's AS 241 (Applied
-Statistics 37, 1988) from the standard library; the Student-t quantile
-is the only one solved by bisection, on its lower tail, an upper
-quantile being the negated lower one.
+below 1e-12. The t cdf, behind every p-value, meets its target at every
+t for df up to 1000, small |t| included (about 1e-13 against SciPy);
+at df 1e4 it is about 4e-12 off, and at 1e6 about 3e-10. The normal
+quantile is Wichura's AS 241 (Applied Statistics 37, 1988) from the
+standard library; the Student-t quantile is the only one solved by
+bisection, on its lower tail, an upper quantile being the negated
+lower one.
 """
 
 import math
@@ -108,39 +111,58 @@ def _betacf(a, b, x):
     return h
 
 
-def regularized_incomplete_beta(a, b, x):
-    """I_x(a, b), the regularized incomplete beta function."""
+def _ibeta(a, b, x, y):
+    """I_x(a, b) with y = 1 - x given apart.
+
+    A caller that forms x and y each by its own division hands over
+    both with full relative precision, where 1 - x would keep only the
+    digits of x that lie above y. So the front factor takes log(1 - x)
+    as log1p(-x) while x <= y, and as log(y) past that, and the
+    continued fraction above the mean runs on y. y is not read when x
+    is 0.
+    """
     if a <= 0 or b <= 0:
         raise DomainError("beta parameters must be positive")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
     ln_front = (
         math.lgamma(a + b)
         - math.lgamma(a)
         - math.lgamma(b)
         + a * math.log(x)
-        + b * math.log1p(-x)
+        + b * (math.log1p(-x) if x <= y else math.log(y))
     )
     front = math.exp(ln_front)
     # The continued fraction converges fast only on one side of the
     # mean; use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise.
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
+def regularized_incomplete_beta(a, b, x):
+    """I_x(a, b), the regularized incomplete beta function."""
+    return _ibeta(a, b, x, 1.0 - x)
 
 
 def t_cdf(x, df):
-    """Student-t cdf with df > 0 degrees of freedom."""
+    """Student-t cdf with df > 0 degrees of freedom.
+
+    The tail is I_w(df/2, 1/2) / 2 at w = df / (df + x^2). Its
+    complement x^2 / (df + x^2) is formed by its own division, so a
+    small |x|, where w rounds next to 1, keeps its digits.
+    """
     if not df > 0:
         raise DomainError(f"degrees of freedom must be positive, got {df!r}")
     if x == 0.0:
         return 0.5
-    xx = df / (df + x * x)
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, xx)
+    # an x^2 that overflows gives w = 0, and so a zero tail
+    x2 = x * x
+    tail = 0.5 * _ibeta(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
     return tail if x < 0 else 1.0 - tail
 
 

@@ -107,6 +107,22 @@ def test_t_cdf_values():
     assert abs(dist.t_cdf(1.0, 1e6) - dist.norm_cdf(1.0)) < 1e-3
 
 
+def test_t_cdf_matches_scipy_at_small_t():
+    # where w = df / (df + t^2) rounds next to 1, so 1 - w would keep
+    # few digits of t^2 / (df + t^2); p-values near 1 come from here
+    ts = [10.0 ** (k / 4.0) for k in range(-32, 5)]
+    for df in (2, 3, 5, 10, 30, 100, 198, 500, 1000):
+        for t in ts:
+            want = float(scipy.stats.t.cdf(-t, df))
+            got = dist.t_cdf(-t, df)
+            assert abs(got - want) < TOL_CDF, (t, df, got, want)
+    # df = 1 against the closed form, which SciPy's t.cdf misses by
+    # 1.5e-9 at t = 1e-8
+    for t in ts:
+        want = 0.5 - math.atan(t) / math.pi
+        assert abs(dist.t_cdf(-t, 1) - want) < TOL_CDF, t
+
+
 def test_t_cdf_domain():
     with pytest.raises(DomainError):
         dist.t_cdf(1.0, 0)
