@@ -7,8 +7,7 @@ its arguments; no global state.
 
 Accuracy targets: cdfs to about 1e-12 absolute, quantiles to 1e-10,
 noncentral-F series truncated when the remaining Poisson mass drops
-below 1e-12. The t cdf, behind every p-value, meets its target at every
-t for df up to 1000, small |t| included (about 1e-13 against SciPy);
+below 1e-12. The t cdf meets its target at every t up to df 1000;
 at df 1e4 it is about 4e-12 off, and at 1e6 about 3e-10. The normal
 quantile is Wichura's AS 241 (Applied Statistics 37, 1988) from the
 standard library; the Student-t quantile is the only one solved by
@@ -112,14 +111,11 @@ def _betacf(a, b, x):
 
 
 def _ibeta(a, b, x, y):
-    """I_x(a, b) with y = 1 - x given apart.
+    """I_x(a, b), with y = 1 - x formed by the caller apart from x.
 
-    A caller that forms x and y each by its own division hands over
-    both with full relative precision, where 1 - x would keep only the
-    digits of x that lie above y. So the front factor takes log(1 - x)
-    as log1p(-x) while x <= y, and as log(y) past that, and the
-    continued fraction above the mean runs on y. y is not read when x
-    is 0.
+    Where x rounds next to 1, y keeps the digits that 1 - x would lose:
+    log(1 - x) is log(y) once x > y, and the continued fraction above
+    the mean runs on y. y is not read when x is 0.
     """
     if a <= 0 or b <= 0:
         raise DomainError("beta parameters must be positive")
@@ -152,9 +148,8 @@ def regularized_incomplete_beta(a, b, x):
 def t_cdf(x, df):
     """Student-t cdf with df > 0 degrees of freedom.
 
-    The tail is I_w(df/2, 1/2) / 2 at w = df / (df + x^2). Its
-    complement x^2 / (df + x^2) is formed by its own division, so a
-    small |x|, where w rounds next to 1, keeps its digits.
+    The tail is I_w(df/2, 1/2) / 2 at w = df / (df + x^2), with 1 - w
+    formed as x^2 / (df + x^2), so a small |x| keeps its digits.
     """
     if not df > 0:
         raise DomainError(f"degrees of freedom must be positive, got {df!r}")
