@@ -11,19 +11,56 @@ Untested rows alternate between the two missing-value encodings. The
 expected analyze/screen outputs are produced by the installed package;
 the analyze numbers are independently re-derived from normal equations
 inside the test suite before the golden files are trusted.
+
+It also writes the metrics CSV of `eods simulate` on each SIMULATE_CONFIGS
+grid, and golden_plan.txt: every PLAN_ARGS command line followed by what
+`eods plan` prints for it.
 """
 
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
 
 import numpy as np
 
-from eods import screen
+from eods import cli, screen
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(os.path.dirname(HERE)), "src")
+
+
+# grid configs in this directory; each golden CSV takes its config's name
+SIMULATE_CONFIGS = ("golden_simulate", "golden_simulate_zero_variance")
+
+# six fixed planning queries (two min-gamma searches, two min-n_full
+# searches, two power evaluations), then the README's three examples
+PLAN_ARGS = (
+    "--alpha 0.05 --n-full 20000 --target-power 0.9 --effect-f 0.035",
+    "--alpha 0.01 --n-full 4000 --target-power 0.8 --effect-f 0.08",
+    "--alpha 5e-08 --gamma 0.2 --target-power 0.8 --effect-f 0.1",
+    "--alpha 0.05 --gamma 0.1 --target-power 0.9 --effect-rho 0.1",
+    "--alpha 0.05 --n-full 200 --gamma 0.19 --effect-f 0.3",
+    "--alpha 5e-08 --n-full 100000 --gamma 0.02 --effect-f 0.05",
+    "--n-full 200 --effect-f 0.3 --alpha 0.05 --target-power 0.90",
+    "--gamma 0.2 --effect-f 0.3 --alpha 0.05 --target-power 0.90",
+    "--n-full 200 --gamma 0.1 --effect-f 0.3 --alpha 0.05",
+)
+
+
+def plan_transcript():
+    """Each PLAN_ARGS line as a shell prompt, then eods plan's stdout."""
+    parts = []
+    for args in PLAN_ARGS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["plan", *args.split()])
+        if code != 0:
+            raise RuntimeError(f"eods plan {args} exited {code}")
+        parts.append(f"$ eods plan {args}\n{out.getvalue()}")
+    return "".join(parts)
 
 
 def main():
@@ -73,6 +110,18 @@ def main():
         ],
         cwd=HERE, env=env, check=True,
     )
+    for name in SIMULATE_CONFIGS:
+        subprocess.run(
+            [
+                sys.executable, "-m", "eods.cli", "simulate",
+                "--config", f"{name}.cfg", "--out", f"{name}.csv",
+            ],
+            cwd=HERE, env=env, check=True,
+        )
+    with open(
+        os.path.join(HERE, "golden_plan.txt"), "w", encoding="utf-8"
+    ) as fh:
+        fh.write(plan_transcript())
 
 
 if __name__ == "__main__":

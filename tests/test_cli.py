@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import importlib.util
 import math
 import os
 import shutil
@@ -18,6 +19,18 @@ DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN_STUDY = os.path.join(DATA_DIR, "golden_study.csv")
 
 TOL_EXACT = 1e-12
+
+
+def _load_gen_golden():
+    path = os.path.join(DATA_DIR, "gen_golden.py")
+    spec = importlib.util.spec_from_file_location("gen_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the generator of the golden files: their configs and plan queries
+GEN_GOLDEN = _load_gen_golden()
 
 
 def _read_csv(path):
@@ -603,6 +616,11 @@ def test_screen_flags_overflowing_biomarker(tmp_path):
 # ---------------------------------------------------------------- plan
 
 
+def test_plan_golden_byte_stable():
+    with open(os.path.join(DATA_DIR, "golden_plan.txt"), "rb") as fh:
+        assert GEN_GOLDEN.plan_transcript().encode("utf-8") == fh.read()
+
+
 def test_plan_min_gamma_line(capsys):
     code = main(
         [
@@ -1113,6 +1131,22 @@ def test_screen_log10_rejects_nonpositive(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ simulate
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", GEN_GOLDEN.SIMULATE_CONFIGS)
+def test_simulate_golden_byte_stable(tmp_path, capsys, name, workers):
+    out = tmp_path / f"{name}.csv"
+    config = os.path.join(DATA_DIR, f"{name}.cfg")
+    code = main(
+        ["simulate", "--config", config, "--out", str(out), "--workers", workers]
+    )
+    assert code == 0
+    capsys.readouterr()
+    with open(out, "rb") as fh:
+        got = fh.read()
+    with open(os.path.join(DATA_DIR, f"{name}.csv"), "rb") as fh:
+        assert got == fh.read(), f"{name}.csv drifted from the golden file"
 
 
 def _write_config(path, text):
