@@ -115,11 +115,11 @@ _SLOPE_VARIANCE_COLLAPSED = "collapsed denominator in the slope variance"
 def _forward_rows(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
     """The conversion entry by entry, with a mask of the defined entries.
 
-    Entries whose denominator vanishes are marked False and hold
-    meaningless values.
+    Entries whose denominator or response variance vanishes are marked
+    False and hold meaningless values.
     """
     den = sigma2_eps_x + beta_x * beta_x * var_y
-    defined = den != 0.0
+    defined = (den != 0.0) & (var_y != 0.0)
     # a zero denominator becomes one, so undefined entries divide quietly
     den = den + (den == 0.0)
     beta_y = beta_x * var_y / den
@@ -153,9 +153,11 @@ def _se_rows(
     """The delta-method SE entry by entry, with a mask of the defined entries.
 
     Powers go through np.float_power, which is C pow like Python's float
-    **; np.power's SIMD loop can round differently in the last bit.
+    **; np.power's SIMD loop can round differently in the last bit. A
+    zero var_y_tilde becomes one, so the entries that _forward_rows
+    leaves unconverted divide quietly.
     """
-    r = sigma2_eps_x_hat / var_y_tilde
+    r = sigma2_eps_x_hat / (var_y_tilde + (var_y_tilde == 0.0))
     b2 = beta_x_hat * beta_x_hat
     den = np.float_power(r + b2, 4)
     num = np.float_power(r - b2, 2) * np.float_power(
@@ -232,11 +234,6 @@ class EstimateRows:
     kept: np.ndarray
     reverse_fit: regress.FitRows = field(repr=False)
 
-    @property
-    def p_value(self):
-        """The reverse-fit slope tests' p-values, one array call."""
-        return self.reverse_fit.p_value
-
 
 def estimate_rows(
     responses, biomarkers, mean_y, var_y, n_full, confidence_level=0.95
@@ -246,7 +243,8 @@ def estimate_rows(
     responses and biomarkers are 1-D for one subset or (R, n_selected)
     for R subsets, one per row. mean_y and var_y are the full-sample
     response moments over n_full rows, shared by every row or one per
-    row; var_y must be positive, as FullResponseSummary ensures.
+    row; var_y must be nonnegative, and a zero-variance row is not
+    converted.
     Argument errors and the slope ceiling raise; per-row failures only
     clear kept.
     """

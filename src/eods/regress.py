@@ -83,11 +83,6 @@ class FitRows:
     sums: tuple  # centered (sxx, syy, sxy)
     residuals: np.ndarray = field(repr=False)
 
-    @property
-    def p_value(self):
-        """Two-sided slope-test p-values, NaN where degenerate or overflow."""
-        return slope_p_values(self.t_stat, self.df)
-
     def single(self):
         """The fit of one sample as a FitResult.
 
@@ -109,29 +104,17 @@ class FitRows:
             df=self.df,
             r_squared=r_squared,
             t_stat=t_stat,
-            p_value=float(slope_p_values(t_stat, self.df)),
+            p_value=slope_p_value(t_stat, self.df),
             residuals=self.residuals,
         )
 
 
-def slope_p_values(t_stat, df):
-    """Two-sided slope-test p-values: 2 * dist.t_cdf(-|t|, df) entry by entry.
-
-    t_stat and df broadcast together, so df may be one value or one per
-    entry; a NaN t gives NaN.
-    """
-    t, df = np.broadcast_arrays(
-        np.asarray(t_stat, dtype=float), np.asarray(df, dtype=float)
-    )
-    if not np.all(df > 0):
-        raise DomainError(
-            f"degrees of freedom must be positive, got {float(df.min())!r}"
-        )
-    p = [
-        math.nan if math.isnan(v) else 2.0 * dist.t_cdf(-abs(v), d)
-        for v, d in zip(t.ravel().tolist(), df.ravel().tolist())
-    ]
-    return np.array(p, dtype=float).reshape(t.shape)
+def slope_p_value(t_stat, df):
+    """Two-sided slope-test p-value 2 * dist.t_cdf(-|t|, df); NaN for a NaN t."""
+    t = float(t_stat)  # a NumPy scalar would warn where t * t overflows
+    if math.isnan(t):
+        return math.nan
+    return 2.0 * dist.t_cdf(-abs(t), df)
 
 
 def fit_rows(predictor, response):
@@ -141,10 +124,10 @@ def fit_rows(predictor, response):
     The two are broadcast to one shape first, so a 1-D predictor serves
     every row of an (R, n) response. Sums are centered two-pass with
     numpy's pairwise summation, so a row's fit depends neither on the
-    other rows nor on evaluation order. The p-values are computed only
-    when p_value is read, by slope_p_values. Values too large to square
-    flag their rows in overflow, one check per row on its sums, and
-    raise no warning.
+    other rows nor on evaluation order. No p-value is computed: a caller
+    takes one from t_stat with slope_p_value. Values too large to
+    square flag their rows in overflow, one check per row on its sums,
+    and raise no warning.
     """
     x, y = np.broadcast_arrays(
         np.asarray(predictor, dtype=float), np.asarray(response, dtype=float)

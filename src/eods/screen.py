@@ -211,8 +211,8 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
     vector aligned with it row for row, NaN where that biomarker was not
     tested; each biomarker is fit on its own tested rows, and the
     columns tested on the same rows are fit together, one
-    odeb.estimate_rows call per tested-row mask, and the p-values of
-    all columns from one regress.slope_p_values call. Per-biomarker
+    odeb.estimate_rows call per tested-row mask; each successful
+    column's p-value is one regress.slope_p_value call. Per-biomarker
     estimation failures flag the row and the batch keeps going; rows
     are sorted by ascending p-value (failed rows last, ties by
     biomarker id) and carry BH q-values over the successful tests.
@@ -231,15 +231,10 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
             )
         columns.append(x)
 
-    # per column: (estimate, se, ci_low, ci_high) or error text, and the
-    # fitted columns' slope t and df
-    fits = [None] * len(columns)
-    tests = {}
-    inside = [0] * len(columns)
+    names = [str(biomarker_id) for biomarker_id in biomarkers]
+    rows = [None] * len(columns)
     for tested, positions in tested_groups(columns):
-        n_inside = rows_inside(y, tested)
-        for i in positions:
-            inside[i] = n_inside
+        inside = rows_inside(y, tested)
         try:
             if np.count_nonzero(tested) < 3:
                 raise DegenerateInput(regress.TOO_FEW_PAIRS)
@@ -253,46 +248,32 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
                 confidence_level,
             )
         except (DegenerateInput, InsufficientData) as exc:
-            for i in positions:
-                fits[i] = str(exc)
-            continue
-        values = zip(
-            est.beta_y.tolist(),
-            est.se_beta_y.tolist(),
-            est.ci_low.tolist(),
-            est.ci_high.tolist(),
-        )
-        t_stats = est.reverse_fit.t_stat.tolist()
-        for i, reason, fit, t in zip(
-            positions, odeb.drop_reasons(est), values, t_stats
-        ):
-            fits[i] = fit if reason is None else reason
-            if reason is None:
-                tests[i] = (t, est.reverse_fit.df)
-
-    # every fitted column's p-value from one call, each at its own df
-    fitted = sorted(tests)  # column order
-    t_df = np.array([tests[i] for i in fitted], dtype=float).reshape(-1, 2)
-    p_values = regress.slope_p_values(t_df[:, 0], t_df[:, 1]).tolist()
-    p_q = dict(zip(fitted, zip(p_values, bh_adjust(p_values))))
-    rows = []
-    for i, biomarker_id in enumerate(biomarkers):
-        if i in p_q:
-            fit, (p_value, q_value), error = fits[i], p_q[i], None
+            reasons = [str(exc)] * len(positions)
+            values = [None] * len(positions)
         else:
-            fit, error = [math.nan] * 4, fits[i]
-            p_value = q_value = math.nan
-        rows.append(
-            ScreenRow(
-                str(biomarker_id),
-                *fit,
-                p_value,
-                q_value,
-                rank=0,
-                error=error,
-                rows_inside=inside[i],
+            reasons = odeb.drop_reasons(est)
+            values = zip(
+                est.beta_y.tolist(),
+                est.se_beta_y.tolist(),
+                est.ci_low.tolist(),
+                est.ci_high.tolist(),
+                est.reverse_fit.t_stat.tolist(),
             )
-        )
+        for i, reason, value in zip(positions, reasons, values):
+            if reason is None:
+                *fit, t = value
+                p_value = regress.slope_p_value(t, est.reverse_fit.df)
+            else:
+                fit, p_value = [math.nan] * 4, math.nan
+            rows[i] = ScreenRow(
+                names[i], *fit, p_value, math.nan, rank=0, error=reason,
+                rows_inside=inside,
+            )
+
+    # q-values over the successful tests, from one bh_adjust call
+    tests = [row for row in rows if row.error is None]
+    for row, q_value in zip(tests, bh_adjust([r.p_value for r in tests])):
+        row.q_value = q_value
 
     def sort_key(row):
         failed = math.isnan(row.p_value)

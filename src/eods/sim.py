@@ -18,14 +18,18 @@ The engine works on blocks of replicates, row r of a (rows, n_full)
 array being one replicate; each row is still drawn from its own
 generator, so blocking changes no value. The generators' Philox keys
 are derived for a whole data group at once, with the SeedSequence hash
-written over an array of replicate indices, and one generator per
-stream is re-keyed row by row. A block holds about _BLOCK_ELEMENTS
-values whatever n_full is, which bounds memory. run_grid groups the
-scenarios that share a residual law, draws each group's x and noise
-once per block, forms y once per effect and runs every scenario of that
-effect on it; selection, fits and intervals are computed row-wise, and
-a replicate whose subset degenerates is dropped from its own scenario
-only. A replicate rejects the null when its |t| reaches the interval's
+written over an array of replicate indices, and one generator is
+re-keyed row by row for both streams. A block holds about
+_BLOCK_ELEMENTS values whatever n_full is, which bounds memory.
+run_grid groups the scenarios that share a residual law; for each
+block of a group the loops nest effect (alpha_y, beta_y), subset
+(sampling, n_selected) and scenario. x and the noise are drawn once per
+block, random subsets once per block and n_selected, y and its moments
+once per effect, and each subset once per effect. Each scenario's arm,
+_arm, turns the batched fit of its subset into estimates, intervals and
+rejections in one step, the same for either estimator; a replicate
+whose subset degenerates is dropped from its own scenario only. A
+replicate rejects the null when its |t| reaches the interval's
 two-sided t point, so no p-value is computed; each group's metrics are
 finished in the process that ran it.
 
@@ -337,23 +341,6 @@ def generate_dataset(scenario, replicate_index):
     return x[0], _responses(scenario, x, eps, replicate_index)[0]
 
 
-def _random_subset(scenario, x, rng, keys, subsets):
-    """Each row's sorted random subset and its x, as (idx, x_sub).
-
-    Each row's subset is drawn from its stream-1 key. Neither depends on
-    the effect, so subsets caches them once per block and n_selected.
-    """
-    k = scenario.n_selected
-    if k not in subsets:
-        idx = np.empty((len(keys), k), dtype=np.intp)
-        for i, key in enumerate(keys.tolist()):
-            _rekey(rng, key)
-            picked = rng.choice(scenario.n_full, size=k, replace=False)
-            idx[i] = np.sort(picked)
-        subsets[k] = idx, np.take_along_axis(x, idx, axis=1)
-    return subsets[k]
-
-
 def _beyond_range(replicate, what):
     """The DomainError for a replicate whose what is beyond double range."""
     return DomainError(
@@ -361,77 +348,44 @@ def _beyond_range(replicate, what):
     )
 
 
-def _run_block(scenario, x, y, first, shared):
+def _arm(scenario, x_sub, y_sub, moments, first):
     """(estimate, ci_low, ci_high, rejected) of a block's kept replicates.
 
-    first is the replicate index of the block's first row. shared
-    caches, per block and effect, what the scenarios of that effect can
-    reuse: the gathered subsets and the full-response moments. Under
-    "random" it holds the generator, the block's stream-1 keys and the
-    block's random subsets, which every effect shares. A fit or a
-    response variance beyond double range raises DomainError.
+    x_sub and y_sub are the block's selected rows, first the replicate
+    index of its first row and moments the block's full-response (mean,
+    variance), which only the odeb arm reads. A fit or a response
+    variance beyond double range raises DomainError. The two-sided t
+    point is solved on the lower tail from alpha_level, so a tiny
+    alpha_level keeps its digits. A row rejects the null when |t|
+    reaches that point, which is p <= alpha_level for the slope test's
+    two-sided p-value.
     """
-    key = (scenario.sampling, scenario.n_selected)
-    if key not in shared:
-        if scenario.sampling == "extreme":
-            idx = screen.extreme_rows(y, scenario.n_selected)[0]
-            x_sub = np.take_along_axis(x, idx, axis=1)
-        else:
-            idx, x_sub = _random_subset(scenario, x, *shared["random"])
-        shared[key] = x_sub, np.take_along_axis(y, idx, axis=1)
-    x_sub, y_sub = shared[key]
     if scenario.estimator == "ols":
         fit = regress.fit_rows(x_sub, y_sub)
-        if fit.overflow.any():
-            row = int(np.argmax(fit.overflow))
-            raise _beyond_range(first + row, regress.FIT_OVERFLOW)
-        return _interval(
-            scenario, fit.slope, fit.se_slope, fit.t_stat, ~fit.degenerate
-        )
-    if "moments" not in shared:
-        # an overflow shows as a non-finite moment, which raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            shared["moments"] = odeb.response_moments(y)
-    mean_y, var_y = shared["moments"]
-    finite = np.isfinite(var_y)
-    if not finite.all():
-        raise _beyond_range(
-            first + int(np.argmin(finite)),
-            "full response variance is beyond double range",
-        )
-    full = var_y > 0.0
-    try:
-        est = odeb.estimate_rows(
-            y_sub[full],
-            x_sub[full],
-            mean_y[full],
-            var_y[full],
-            scenario.n_full,
-        )
-    except InsufficientData:
-        return (np.empty(0),) * 4
-    overflow = est.reverse_fit.overflow
-    if overflow.any():
-        # est's rows are the block's rows with a positive variance
-        row = int(np.flatnonzero(full)[np.argmax(overflow)])
+        est, se, kept = fit.slope, fit.se_slope, ~fit.degenerate
+    else:
+        mean_y, var_y = moments
+        finite = np.isfinite(var_y)
+        if not finite.all():
+            raise _beyond_range(
+                first + int(np.argmin(finite)),
+                "full response variance is beyond double range",
+            )
+        try:
+            rows = odeb.estimate_rows(
+                y_sub, x_sub, mean_y, var_y, scenario.n_full
+            )
+        except InsufficientData:
+            return (np.empty(0),) * 4
+        fit = rows.reverse_fit
+        est, se, kept = rows.beta_y, rows.se_beta_y, rows.kept
+    if fit.overflow.any():
+        row = int(np.argmax(fit.overflow))
         raise _beyond_range(first + row, regress.FIT_OVERFLOW)
-    return _interval(
-        scenario, est.beta_y, est.se_beta_y, est.reverse_fit.t_stat, est.kept
-    )
-
-
-def _interval(scenario, est, se, t_stat, kept):
-    """(estimate, ci_low, ci_high, rejected) of the kept rows, for either arm.
-
-    The two-sided t point is solved on the lower tail from alpha_level,
-    so a tiny alpha_level keeps its digits. A row rejects the null when
-    |t| reaches that point, which is p <= alpha_level for the slope
-    test's two-sided p-value.
-    """
     est, se = est[kept], se[kept]
     t_point = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2)
     half = t_point * se
-    return est, est - half, est + half, np.abs(t_stat[kept]) >= t_point
+    return est, est - half, est + half, np.abs(fit.t_stat[kept]) >= t_point
 
 
 def _metrics(scenario, est, lo, hi, rejected):
@@ -476,71 +430,91 @@ def _run_group(scenarios):
     """Run scenarios that share one _data_key on the same replicate blocks.
 
     Returns, per scenario, its SimMetrics, or the EodsError that
-    stopped it; one scenario's error leaves the others running. Each
-    block's x and noise are drawn once, and its y once per effect
-    (alpha_y, beta_y); a y beyond double range stops every scenario of
-    that effect. Each stream's keys are derived once for the whole
-    group.
+    stopped it; one scenario's error leaves the others running. The
+    loops nest block, effect (alpha_y, beta_y), subset (sampling,
+    n_selected) and scenario. A block's x and noise are drawn once and
+    its random subsets once per n_selected; its y and response moments
+    are formed once per effect, and each subset once per effect. A y
+    beyond double range stops every scenario of that effect. Each
+    stream's keys are derived once for the whole group, and one
+    generator, re-keyed row by row, draws both streams.
     """
     outcomes = [None] * len(scenarios)
-    blocks = {}
-    effects = {}  # (alpha_y, beta_y) -> indices, in first-seen order
+    parts = {}  # running scenario -> its blocks' _arm results
+    effects = {}  # (alpha_y, beta_y) -> (sampling, n_selected) -> indices
     for i, s in enumerate(scenarios):
-        effects.setdefault((s.alpha_y, s.beta_y), []).append(i)
         try:
-            selected_count(s.gamma, s.n_full)
-            blocks[i] = []
+            subset = (s.sampling, selected_count(s.gamma, s.n_full))
         except DomainError as exc:
             outcomes[i] = exc
+            continue
+        parts[i] = []
+        effect = effects.setdefault((s.alpha_y, s.beta_y), {})
+        effect.setdefault(subset, []).append(i)
     data = scenarios[0]
-    if blocks:
-        try:
-            sampler = residual_sampler(
-                data.residual_family, data.noise_variance, data.t_df
-            )
-        except EodsError as exc:
-            outcomes = [exc if out is None else out for out in outcomes]
-            blocks = {}
-    if blocks:
-        replicates = np.arange(data.replicates)
-        rng = _keyed_generator()
-        keys = _philox_keys(data.seed, replicates, 0)
-        random_rng = random_keys = None
-        if any(scenarios[i].sampling == "random" for i in blocks):
-            random_rng = _keyed_generator()
-            random_keys = _philox_keys(data.seed, replicates, 1)
-    rows = max(1, _BLOCK_ELEMENTS // data.n_full)
+    sampler = residual_sampler(
+        data.residual_family, data.noise_variance, data.t_df
+    )
+    rng = _keyed_generator()
+    replicates = np.arange(data.replicates)
+    keys = _philox_keys(data.seed, replicates, 0)
+    random_keys = _philox_keys(data.seed, replicates, 1)
+    n = data.n_full
+    rows = max(1, _BLOCK_ELEMENTS // n)
     for first in range(0, data.replicates, rows):
-        if not blocks:
+        if not parts:
             break
         block = slice(first, first + rows)
         x, eps = _draw_block(data, sampler, rng, keys[block])
-        random = None
-        if random_keys is not None:
-            random = (random_rng, random_keys[block], {})
-        for members in effects.values():
-            running = [i for i in members if i in blocks]
+        picks = {}  # n_selected -> each row's sorted random subset, its x
+        for k in {
+            scenarios[i].n_selected
+            for i in parts
+            if scenarios[i].sampling == "random"
+        }:
+            idx = np.empty((len(x), k), dtype=np.intp)
+            for r, key in enumerate(random_keys[block].tolist()):
+                _rekey(rng, key)
+                idx[r] = np.sort(rng.choice(n, size=k, replace=False))
+            picks[k] = idx, np.take_along_axis(x, idx, axis=1)
+        for effect in effects.values():
+            running = [i for m in effect.values() for i in m if i in parts]
             if not running:
                 continue
             try:
-                y = _responses(scenarios[members[0]], x, eps, first)
+                y = _responses(scenarios[running[0]], x, eps, first)
             except DomainError as exc:
                 for i in running:
                     outcomes[i] = exc
-                    del blocks[i]
+                    del parts[i]
                 continue
-            shared = {"random": random}
-            for i in running:
-                try:
-                    blocks[i].append(
-                        _run_block(scenarios[i], x, y, first, shared)
-                    )
-                except EodsError as exc:
-                    outcomes[i] = exc
-                    del blocks[i]
-    for i, parts in blocks.items():
+            moments = None
+            if any(scenarios[i].estimator == "odeb" for i in running):
+                # an overflow shows as a non-finite variance, which the
+                # odeb arm rejects
+                with np.errstate(over="ignore", invalid="ignore"):
+                    moments = odeb.response_moments(y)
+            for (sampling, k), members in effect.items():
+                members = [i for i in members if i in parts]
+                if not members:
+                    continue
+                if sampling == "random":
+                    idx, x_sub = picks[k]
+                else:
+                    idx = screen.extreme_rows(y, k)[0]
+                    x_sub = np.take_along_axis(x, idx, axis=1)
+                y_sub = np.take_along_axis(y, idx, axis=1)
+                for i in members:
+                    try:
+                        parts[i].append(
+                            _arm(scenarios[i], x_sub, y_sub, moments, first)
+                        )
+                    except EodsError as exc:
+                        outcomes[i] = exc
+                        del parts[i]
+    for i, results in parts.items():
         outcomes[i] = _metrics(
-            scenarios[i], *(np.concatenate(part) for part in zip(*parts))
+            scenarios[i], *(np.concatenate(part) for part in zip(*results))
         )
     return outcomes
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eods import odeb, regress, screen
+from eods import dist, odeb, screen
 from eods.errors import DegenerateInput, DomainError, InsufficientData
 
 TOL_EXACT = 1e-12
@@ -414,18 +414,20 @@ def test_screen_fits_once_per_tested_mask(monkeypatch):
 
 def test_screen_computes_p_values_once(monkeypatch):
     y, table, _ = _mask_fixture()
+    want = screen.screen_biomarkers(y, table)  # also warms t_quantile
     calls = []
-    slope_p_values = regress.slope_p_values
+    t_cdf = dist.t_cdf
 
-    def counting(t_stat, df):
-        calls.append(np.unique(df).tolist())
-        return slope_p_values(t_stat, df)
+    def counting(x, df):
+        calls.append(df)
+        return t_cdf(x, df)
 
-    monkeypatch.setattr(regress, "slope_p_values", counting)
-    screen.screen_biomarkers(y, table)
-    # one call, each column at its own tested-row count less two
-    assert len(calls) == 1
-    assert len(calls[0]) > 1
+    monkeypatch.setattr(dist, "t_cdf", counting)
+    assert screen.screen_biomarkers(y, table) == want
+    # one t cdf per fitted column, each at its tested-row count less two
+    fitted = [row for row in want if row.error is None]
+    assert len(calls) == len(fitted)
+    assert len(set(calls)) > 1
 
 
 def test_tested_groups_in_order_of_first_appearance():
