@@ -152,18 +152,24 @@ def _se_rows(
 ):
     """The delta-method SE entry by entry, with a mask of the defined entries.
 
-    Powers go through np.float_power, which is C pow like Python's float
-    **; np.power's SIMD loop can round differently in the last bit. A
-    zero var_y_tilde becomes one, so the entries that _forward_rows
-    leaves unconverted divide quietly.
+    With r = sigma2_eps_x / var_y, b the reverse slope and s = r + b^2,
+    the variance is ((r - b^2)^2 se(b)^2 + 2 k b^2 r^2) / s^4, where
+    k = 1 / (n_selected - 2) + 1 / (n_full - 1). Each factor is divided
+    by s before any product is formed, and the two terms are joined by
+    hypot, so the SE scales with the biomarker's units instead of
+    overflowing or underflowing with s^4. An entry with s = 0 is not
+    defined. A zero var_y_tilde becomes one, so the entries that
+    _forward_rows leaves unconverted divide quietly.
     """
     r = sigma2_eps_x_hat / (var_y_tilde + (var_y_tilde == 0.0))
     b2 = beta_x_hat * beta_x_hat
-    den = np.float_power(r + b2, 4)
-    num = np.float_power(r - b2, 2) * np.float_power(
-        se_beta_x, 2
-    ) + 2.0 * b2 * r * r * (1.0 / (n_selected - 2) + 1.0 / (n_full - 1))
-    return np.sqrt(num / (den + (den == 0.0))), den != 0.0
+    s = r + b2
+    defined = s != 0.0
+    s = s + (s == 0.0)
+    k = 1.0 / (n_selected - 2) + 1.0 / (n_full - 1)
+    slope_term = (r - b2) / s * (se_beta_x / s)
+    variance_term = math.sqrt(2.0 * k) * (beta_x_hat / s) * (r / s)
+    return np.hypot(slope_term, variance_term), defined
 
 
 def se_beta_y(beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, n_full):

@@ -123,6 +123,38 @@ def test_analyze_report_roundtrip_precision():
     assert repr(value) == report["beta_y"]
 
 
+@pytest.mark.parametrize("scale", [1e40, 1e-45])
+def test_analyze_se_scales_with_the_biomarker(tmp_path, capsys, scale):
+    # the forward slope, its SE and its interval carry 1 / scale; the SE
+    # used to overflow to 0.0 at 1e40 and collapse at 1e-45
+    rows = _read_csv(GOLDEN_STUDY)
+    study = tmp_path / "scaled.csv"
+    _write_study(
+        study,
+        [
+            row[:2] + [repr(float(v) * scale) if v not in ("", "NA") else v
+                       for v in row[2:]]
+            for row in rows[1:]
+        ],
+        header=rows[0],
+    )
+    code = main(
+        [
+            "analyze", "--input", str(study), "--response", "resp",
+            "--biomarker", "bm1", "--out", str(tmp_path / "scaled"),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    got = _report_dict(tmp_path / "scaled_report.csv")
+    want = _report_dict(os.path.join(DATA_DIR, "golden_analyze_report.csv"))
+    for key in ("beta_y", "se_beta_y", "ci_low", "ci_high"):
+        assert math.isclose(
+            float(got[key]) * scale, float(want[key]), rel_tol=1e-12
+        ), key
+    assert got["p_value"] == want["p_value"]
+
+
 def test_analyze_full_gamma_close_to_forward_ols(tmp_path, capsys):
     rng = np.random.default_rng(88)
     n = 400
@@ -1152,6 +1184,64 @@ def test_simulate_golden_byte_stable(tmp_path, capsys, name, workers):
 def _write_config(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+# every config is _EXTREME_BASE with one key or two changed
+_EXTREME_BASE = {
+    "n_full": "30, 200",
+    "beta_y": "0.0, 0.4",
+    "gamma": "0.2",
+    "sampling": "extreme, random",
+    "estimator": "ols, odeb",
+    "replicates": "20",
+    "seed": "4",
+}
+_EXTREME_CASES = [
+    {"x_mean": "1e308"},
+    {"x_mean": "-1e308"},
+    {"beta_y": "1e308"},
+    {"beta_y": "-1e308"},
+    {"x_var": "1e80"},
+    {"x_var": "1e100"},
+    {"x_var": "1e-80"},
+    *(
+        {"noise_variance": v, "residual_family": family}
+        for family in ("normal", "scaled_t(3)", "shifted_lognormal")
+        for v in ("1e308", "1e-300", "5e-324")
+    ),
+    {"alpha_level": "1e-310"},
+    {"alpha_level": "5e-324"},
+    {"beta_y": "nan"},
+    {"x_mean": "-inf"},
+    {"x_var": "inf"},
+    {"alpha_y": "inf"},
+    {"noise_variance": "nan"},
+    {"noise_variance": "inf"},
+    {"gamma": "inf"},
+    {"alpha_level": "nan"},
+]
+
+
+@pytest.mark.parametrize("change", _EXTREME_CASES, ids=str)
+def test_simulate_extreme_input_fails_by_name(tmp_path, capsys, change):
+    # exit 0 or 2 and no exception or RuntimeWarning; a config error
+    # names the key changed, a failed cell says "beyond double range"
+    cfg = tmp_path / "grid.cfg"
+    _write_config(
+        cfg,
+        "".join(f"{k} = {v}\n" for k, v in {**_EXTREME_BASE, **change}.items()),
+    )
+    out = tmp_path / "metrics.csv"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        key = next(iter(change))
+        assert ("alpha" if key == "alpha_level" else key) in err
+        return
+    assert code == 0
+    with open(out, encoding="utf-8") as fh:
+        errors = [row["error"] for row in csv.DictReader(fh)]
+    assert all("beyond double range" in e for e in errors if e)
 
 
 def test_simulate_single_cell_matches_run_scenario(tmp_path):

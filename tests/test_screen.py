@@ -329,8 +329,8 @@ def _mask_fixture():
     table["bm_gappy_b0"] = _tested_only(
         n_full, gappy_b, 0.4 * y[gappy_b] + rng.normal(size=gappy_b.size)
     )
-    # the slope variance's denominator underflows while the conversion's
-    # does not
+    # a biomarker in tiny units: the slope variance's s^4 denominator
+    # used to underflow here, and its SE now scales with the units
     table["bm_tiny"] = _tested_only(
         n_full, tails, 1e-100 * rng.normal(size=tails.size)
     )
@@ -376,12 +376,12 @@ def test_screen_batched_fits_equal_per_column_estimate():
             "reverse fit is deterministic with zero slope; conversion "
             "undefined"
         ),
-        "bm_tiny": "collapsed denominator in the slope variance",
         "bm_three": "need at least 4 selected pairs for variance inference",
         "bm_tied_y": "predictor has zero sample variance",
         "bm_two": "need at least 3 paired observations",
         "bm_empty": "need at least 3 paired observations",
     }
+    assert 0.0 < rows["bm_tiny"].se * 1e-100 < math.inf
     for biomarker_id, column in table.items():
         tested = ~np.isnan(column)
         assert rows[biomarker_id].rows_inside == screen.rows_inside(y, tested)
