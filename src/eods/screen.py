@@ -270,7 +270,6 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
                 rows_inside=inside,
             )
 
-    # q-values over the successful tests, from one bh_adjust call
     tests = [row for row in rows if row.error is None]
     for row, q_value in zip(tests, bh_adjust([r.p_value for r in tests])):
         row.q_value = q_value
