@@ -166,100 +166,78 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
 def _read_blocks(reader, width, columns, position):
     """The data rows as (rows, len(columns)) float64 blocks, NaN = missing.
 
-    A row's count of empty cells sorts it. An untested row, every
-    biomarker cell empty, converts only its response; a row with no
-    missing token converts in one map(float); any other row goes cell
-    by cell. Each block of about _BLOCK_VALUES cells is checked once.
-    A row whose float() fails goes alone through _parse_rows, which
-    returns its values when the failure was a padded token such as
-    " NA "; when the row holds an error, the block's earlier rows are
-    parsed first, so the first error in file order is the one raised.
-    A non-finite value that is not a missing token or a missing
-    response sends the whole block through _parse_rows.
+    Each block holds the picked cell text of about _BLOCK_VALUES cells
+    until _convert_block converts it. A row of the wrong width raises
+    after the block's earlier rows are parsed, so the first error in
+    file order is the one raised.
     """
     pick = operator.itemgetter(*[position[name] for name in columns])
     block_rows = -(-_BLOCK_VALUES // len(columns))
-    untested_empty = len(columns) - 1
+    numbered = enumerate(reader, start=2)  # the header is line 1
+    blocks = []
+    for first_line in itertools.count(2, block_rows):
+        held = []
+        for line_no, row in itertools.islice(numbered, block_rows):
+            if len(row) != width:
+                _parse_rows(held, first_line, columns)
+                raise SchemaError(
+                    f"line {line_no}: expected {width} fields, got {len(row)}"
+                )
+            held.append(pick(row))
+        if not held:
+            return blocks
+        blocks.append(_convert_block(held, first_line, columns))
+
+
+def _convert_block(held, first_line, columns):
+    """held's rows, from line first_line on, as one float64 block.
+
+    A row's count of empty cells sorts it. An untested row, every
+    biomarker cell empty, converts only its response, so its biomarker
+    cells are never Python floats; a row with no missing token converts
+    in one map(float); any other row goes cell by cell. A failed
+    float(), a non-finite value that is not one of the missing tokens
+    or a missing response sends the whole block once through
+    _parse_rows, which raises the first error in file order, or returns
+    the values when the cause was a padded token such as " NA".
+    """
+    width = len(columns)
     # local names: the loop below runs once per row
     nan = math.nan
-    missing = _MISSING_TOKENS
-    empty, na = _MISSING_TOKENS
-    blocks = []
-    # held: every row's cells; values: the converted rows' values, row
-    # after row; lines and responses: the untested rows'
-    held, values, lines, responses, n_missing = [], [], [], [], 0
-    first_line = 2  # the header is line 1
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != width:
-            _parse_rows(held, first_line, columns)
-            raise SchemaError(
-                f"line {line_no}: expected {width} fields, got {len(row)}"
-            )
-        cells = pick(row)
-        held.append(cells)
-        n_empty = cells.count(empty)
-        try:
-            if n_empty == untested_empty:
+    empty, na = missing = _MISSING_TOKENS
+    # the untested rows' indices and responses; the other rows' indices
+    # and values, row after row. Allocating the block before these grow,
+    # or extending values by a bare map, each raised the peak memory of
+    # a 2000-column screen by about 3 MiB
+    untested, responses, converted, values = [], [], [], []
+    n_missing = 0
+    try:
+        for r, cells in enumerate(held):
+            n_empty = cells.count(empty)
+            if n_empty == width - 1:
+                untested.append(r)
                 responses.append(float(cells[0]))
-                lines.append(line_no)
                 n_missing += n_empty
-            elif not n_empty and na not in cells:
-                # the whole row converts before any of it is kept
+                continue
+            converted.append(r)
+            if not n_empty and na not in cells:
                 values += list(map(float, cells))
             else:
                 values += [nan if c in missing else float(c) for c in cells]
                 n_missing += n_empty + cells.count(na)
-        except ValueError:
-            try:
-                parsed = _parse_rows([cells], line_no, columns)
-            except SchemaError:
-                # an error on an earlier row of the block comes first
-                _parse_rows(held[:-1], first_line, columns)
-                raise
-            values += parsed
-            n_missing += sum(map(math.isnan, parsed))
-        if len(held) == block_rows:
-            blocks.append(
-                _checked_block(
-                    held, first_line, values, (lines, responses), n_missing,
-                    columns,
-                )
-            )
-            held, values, lines, responses, n_missing = [], [], [], [], 0
-            first_line = line_no + 1
-    if held:
-        blocks.append(
-            _checked_block(
-                held, first_line, values, (lines, responses), n_missing,
-                columns,
-            )
-        )
-    return blocks
-
-
-def _checked_block(held, first_line, values, untested, n_missing, columns):
-    """One block from _read_blocks' lists, checked against n_missing.
-
-    untested holds the untested rows' line numbers and responses. The
-    block starts all NaN, so an untested row's biomarker cells are never
-    Python floats: only its response is written.
-    """
-    block = np.full((len(held), len(columns)), math.nan)
-    lines, responses = untested
-    rows = np.array(lines, dtype=np.intp) - first_line
-    block[rows, 0] = responses
-    converted = np.ones(len(held), dtype=bool)
-    converted[rows] = False
-    block[converted] = np.fromiter(values, float, len(values)).reshape(
-        -1, len(columns)
-    )
-    # every non-finite value must come from one of the n_missing missing
-    # tokens, and no response may be missing
-    non_finite = block.size - np.count_nonzero(np.isfinite(block))
-    if non_finite != n_missing or np.isnan(block[:, 0]).any():
-        values = _parse_rows(held, first_line, columns)
-        block = np.array(values).reshape(block.shape)
-    return block
+    except ValueError:
+        pass  # a padded token, or an error that _parse_rows names
+    else:
+        block = np.full((len(held), width), nan)
+        block[untested, 0] = responses
+        rows = np.fromiter(values, float, len(values))
+        block[converted] = rows.reshape(-1, width)
+        # every non-finite value must come from one of the n_missing
+        # missing tokens, and no response may be missing
+        non_finite = block.size - np.count_nonzero(np.isfinite(block))
+        if non_finite == n_missing and not np.isnan(block[:, 0]).any():
+            return block
+    return np.reshape(_parse_rows(held, first_line, columns), (-1, width))
 
 
 def _log10_in_place(column, biomarker_id):
@@ -296,15 +274,19 @@ def _warn_if_not_extreme(inside, label):
         )
 
 
-def _write_qq(path, series):
-    # lines straight to the file: a csv.writer call per row cost as much
+def _write_qq(prefix, diag):
+    """Write check_model's two QQ series under prefix; return the paths."""
+    paths = (f"{prefix}_qq_response.csv", f"{prefix}_qq_residuals.csv")
+    # lines straight to each file: a csv.writer call per row cost as much
     # as the rest of the write, no formatted float needs quoting, and one
     # joined string would raise the peak memory by about its size twice
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("theoretical_quantile,observed_value\n")
-        fh.writelines(
-            f"{_fmt(float(tq))},{_fmt(float(ov))}\n" for tq, ov in series
-        )
+    for path, series in zip(paths, (diag.response_qq, diag.residual_qq)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("theoretical_quantile,observed_value\n")
+            fh.writelines(
+                f"{_fmt(float(tq))},{_fmt(float(ov))}\n" for tq, ov in series
+            )
+    return paths
 
 
 # ------------------------------------------------------------- analyze
@@ -342,11 +324,8 @@ def cmd_analyze(args):
 
     if args.out:
         report_path = f"{args.out}_report.csv"
-        qq_response = f"{args.out}_qq_response.csv"
-        qq_residuals = f"{args.out}_qq_residuals.csv"
         diag = odeb.check_model(subset, responses)
-        _write_qq(qq_response, diag.response_qq)
-        _write_qq(qq_residuals, diag.residual_qq)
+        qq_response, qq_residuals = _write_qq(args.out, diag)
         with open(report_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["key", "value"])
@@ -654,12 +633,8 @@ def cmd_check(args):
     )
     _full_summary(responses, args.response)  # the moments must be finite
     diag = odeb.check_model(subset, responses)
-
     prefix = args.out or _default_check_prefix(args.input)
-    qq_response = f"{prefix}_qq_response.csv"
-    qq_residuals = f"{prefix}_qq_residuals.csv"
-    _write_qq(qq_response, diag.response_qq)
-    _write_qq(qq_residuals, diag.residual_qq)
+    qq_response, qq_residuals = _write_qq(prefix, diag)
 
     print(
         f"response_skewness {_fmt(diag.response_skewness)}, "

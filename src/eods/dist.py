@@ -30,8 +30,8 @@ _BETACF_MAX_ITER = 300
 _BETACF_EPS = 3e-16
 _FPMIN = 1e-300
 _POISSON_TAIL = 1e-12
-# Terms the downward sweep may take; more means an ncp of about 1e9 or
-# more with a cdf that is not negligible, which the series cannot serve.
+# Terms either sweep may take; more means an ncp of about 3e10 or more
+# with a cdf that is not negligible, which the series cannot serve.
 _POISSON_MAX_TERMS = 10**6
 # Past this Poisson mean the lgamma differences at the mode lose their
 # digits, and a cdf that is not zero would need millions of terms.
@@ -212,11 +212,12 @@ def f_cdf_noncentral(x, params):
 
     Poisson(ncp/2) mixture of incomplete beta terms, summed outward from
     the modal Poisson index so the largest weights are accumulated first
-    and the beta terms advance by stable two-term recurrences. Series
-    stops once the unaccounted Poisson mass is below 1e-12. A downward
-    sweep that would need more than 10^6 terms raises DomainError. An
-    ncp beyond 2^41, infinity included, is answered by a tail bound when
-    the cdf is 0 to double precision, and raises DomainError otherwise.
+    and the beta terms advance by stable two-term recurrences. Each
+    sweep stops once the unaccounted Poisson mass is below 1e-12 or the
+    terms left cannot change the sum; one that would need more than
+    10^6 terms raises DomainError. An ncp beyond 2^41, infinity
+    included, is answered by a tail bound when the cdf is 0 to double
+    precision, and raises DomainError otherwise.
     """
     if not isinstance(params, NoncentralFParams):
         params = NoncentralFParams(*params)
@@ -264,10 +265,7 @@ def f_cdf_noncentral(x, params):
         if total + w * j == total or i_val == t_val == 0.0:
             break
         if j0 - j == _POISSON_MAX_TERMS:
-            raise DomainError(
-                f"noncentral F series at ncp {lam!r} needs more than "
-                f"{_POISSON_MAX_TERMS} terms"
-            )
+            raise _too_many_terms(lam)
         a = a0 + j
         t_val = t_val * a / (y * (a + b - 1.0))  # step T(a) -> T(a-1)
         i_val = min(1.0, i_val + t_val)
@@ -275,10 +273,17 @@ def f_cdf_noncentral(x, params):
         total += w * i_val
         cum_w += w
 
-    # Upward sweep until the Poisson tail is exhausted.
+    # Upward sweep until the Poisson tail is exhausted. Above the mode
+    # the weights fall at least by r = half / (j + 1) per term, so the
+    # terms left above j add at most i_val * w * r / (1 - r); the sweep
+    # also stops once that cannot change total, since 1 - cum_w keeps
+    # the rounding error of the mode's weight and, from an ncp in the
+    # thousands on, may never fall below the tail.
     w, i_val, t_val = w_mode, i_mode, t_mode
     j = j0
     while 1.0 - cum_w > _POISSON_TAIL:
+        if j - j0 == _POISSON_MAX_TERMS:
+            raise _too_many_terms(lam)
         a = a0 + j
         i_val = max(0.0, i_val - t_val)
         t_val = t_val * y * (a + b) / (a + 1.0)  # step T(a) -> T(a+1)
@@ -286,11 +291,16 @@ def f_cdf_noncentral(x, params):
         j += 1
         total += w * i_val
         cum_w += w
-        if i_val == 0.0:
-            break
-        if j > j0 + 100000:
+        if i_val == 0.0 or total + i_val * w * half / (j + 1 - half) == total:
             break
     return min(1.0, max(0.0, total))
+
+
+def _too_many_terms(ncp):
+    return DomainError(
+        f"noncentral F series at ncp {ncp!r} needs more than "
+        f"{_POISSON_MAX_TERMS} terms"
+    )
 
 
 def _cdf_beyond_series(x, d1, d2, ncp):

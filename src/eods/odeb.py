@@ -113,19 +113,24 @@ _SLOPE_VARIANCE_COLLAPSED = "collapsed denominator in the slope variance"
 
 
 def _forward_rows(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
-    """The conversion entry by entry, with a mask of the defined entries.
+    """The conversion entry by entry, with defined and finite masks.
 
-    Entries whose denominator or response variance vanishes are marked
-    False and hold meaningless values.
+    Entries whose denominator or response variance vanishes are not
+    defined. Entries whose denominator or results leave double range, as
+    the square of a huge reverse slope does, are not finite: an infinite
+    denominator would give a zero estimate. Neither kind warns, and both
+    hold meaningless values.
     """
-    den = sigma2_eps_x + beta_x * beta_x * var_y
-    defined = (den != 0.0) & (var_y != 0.0)
-    # a zero denominator becomes one, so undefined entries divide quietly
-    den = den + (den == 0.0)
-    beta_y = beta_x * var_y / den
-    alpha_y = (sigma2_eps_x * mean_y - alpha_x * beta_x * var_y) / den
-    sigma2_eps_y = var_y * sigma2_eps_x / den
-    return beta_y, alpha_y, sigma2_eps_y, defined
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = sigma2_eps_x + beta_x * beta_x * var_y
+        defined = (den != 0.0) & (var_y != 0.0)
+        # a zero denominator becomes one, so undefined entries divide quietly
+        den = den + (den == 0.0)
+        beta_y = beta_x * var_y / den
+        alpha_y = (sigma2_eps_x * mean_y - alpha_x * beta_x * var_y) / den
+        sigma2_eps_y = var_y * sigma2_eps_x / den
+    finite = np.isfinite([den, beta_y, alpha_y, sigma2_eps_y]).all(axis=0)
+    return beta_y, alpha_y, sigma2_eps_y, defined, finite
 
 
 def convert_reverse_to_forward(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
@@ -139,11 +144,13 @@ def convert_reverse_to_forward(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
         raise DomainError("var_y must be positive")
     if sigma2_eps_x < 0.0:
         raise DomainError("sigma2_eps_x must be nonnegative")
-    beta_y, alpha_y, sigma2_eps_y, defined = _forward_rows(
+    beta_y, alpha_y, sigma2_eps_y, defined, finite = _forward_rows(
         beta_x, alpha_x, sigma2_eps_x, mean_y, var_y
     )
     if not defined:
         raise DegenerateInput(_CONVERSION_UNDEFINED)
+    if not finite:
+        raise DomainError("forward parameters beyond double range")
     return float(beta_y), float(alpha_y), float(sigma2_eps_y)
 
 
@@ -159,17 +166,19 @@ def _se_rows(
     hypot, so the SE scales with the biomarker's units instead of
     overflowing or underflowing with s^4. An entry with s = 0 is not
     defined. A zero var_y_tilde becomes one, so the entries that
-    _forward_rows leaves unconverted divide quietly.
+    _forward_rows leaves unconverted divide quietly. An entry beyond
+    double range is not finite and raises no warning.
     """
-    r = sigma2_eps_x_hat / (var_y_tilde + (var_y_tilde == 0.0))
-    b2 = beta_x_hat * beta_x_hat
-    s = r + b2
-    defined = s != 0.0
-    s = s + (s == 0.0)
-    k = 1.0 / (n_selected - 2) + 1.0 / (n_full - 1)
-    slope_term = (r - b2) / s * (se_beta_x / s)
-    variance_term = math.sqrt(2.0 * k) * (beta_x_hat / s) * (r / s)
-    return np.hypot(slope_term, variance_term), defined
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = sigma2_eps_x_hat / (var_y_tilde + (var_y_tilde == 0.0))
+        b2 = beta_x_hat * beta_x_hat
+        s = r + b2
+        defined = s != 0.0
+        s = s + (s == 0.0)
+        k = 1.0 / (n_selected - 2) + 1.0 / (n_full - 1)
+        slope_term = (r - b2) / s * (se_beta_x / s)
+        variance_term = math.sqrt(2.0 * k) * (beta_x_hat / s) * (r / s)
+        return np.hypot(slope_term, variance_term), defined
 
 
 def se_beta_y(beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, n_full):
@@ -224,9 +233,11 @@ class EstimateRows:
 
     Fields are scalars for one subset and arrays for many. kept marks
     the rows that have an estimate. The others were dropped by the
-    reverse fit (reverse_fit.degenerate, then reverse_fit.overflow), the
-    conversion (converted) or the slope variance (se_defined), checked
-    in that order, and hold meaningless values.
+    reverse fit (reverse_fit.degenerate), a result beyond double range
+    (overflow: reverse_fit.overflow, or a conversion, SE or interval
+    that is not finite), the conversion (converted) or the slope
+    variance (se_defined), checked in that order, and hold meaningless
+    values.
     """
 
     beta_y: np.ndarray
@@ -235,6 +246,7 @@ class EstimateRows:
     se_beta_y: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
+    overflow: np.ndarray
     converted: np.ndarray
     se_defined: np.ndarray
     kept: np.ndarray
@@ -266,7 +278,7 @@ def estimate_rows(
     if n_selected > n_full:
         raise DomainError("selected subset is larger than the full sample")
     rev = regress.fit_rows(responses, biomarkers)
-    beta_y, alpha_y, sigma2_eps_y, converted = _forward_rows(
+    beta_y, alpha_y, sigma2_eps_y, converted, finite = _forward_rows(
         rev.slope, rev.intercept, rev.residual_variance, mean_y, var_y
     )
     se, se_defined = _se_rows(
@@ -277,19 +289,26 @@ def estimate_rows(
         n_selected,
         n_full,
     )
-    kept = ~rev.degenerate & ~rev.overflow & converted & se_defined
+    # solved on the lower tail, so a level near 1 keeps its digits
+    t_mult = -dist.t_quantile((1.0 - confidence_level) / 2.0, n_selected - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ci_low = beta_y - t_mult * se
+        ci_high = beta_y + t_mult * se
+    overflow = rev.overflow | ~(
+        finite & np.isfinite(ci_low) & np.isfinite(ci_high)
+    )
+    kept = ~rev.degenerate & ~overflow & converted & se_defined
     check_slope_ceiling(
         np.where(kept, beta_y, 0.0), var_y, rev.residual_variance
     )
-    # solved on the lower tail, so a level near 1 keeps its digits
-    t_mult = -dist.t_quantile((1.0 - confidence_level) / 2.0, n_selected - 2)
     return EstimateRows(
         beta_y=beta_y,
         alpha_y=alpha_y,
         sigma2_eps_y=sigma2_eps_y,
         se_beta_y=se,
-        ci_low=beta_y - t_mult * se,
-        ci_high=beta_y + t_mult * se,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        overflow=overflow,
         converted=converted,
         se_defined=se_defined,
         kept=kept,
@@ -301,12 +320,15 @@ def drop_reasons(rows):
     """Why each row of an EstimateRows has no estimate; None where kept.
 
     The error text that estimate() raises for the row, from the first
-    of reverse_fit.degenerate, reverse_fit.overflow, converted and
-    se_defined that drops it. A list with one entry per row, one entry
-    for one subset.
+    of reverse_fit.degenerate, overflow, converted and se_defined that
+    drops it. A list with one entry per row, one entry for one subset.
     """
-    rev = rows.reverse_fit
-    masks = (rev.degenerate, rev.overflow, rows.converted, rows.se_defined)
+    masks = (
+        rows.reverse_fit.degenerate,
+        rows.overflow,
+        rows.converted,
+        rows.se_defined,
+    )
     reasons = []
     for degenerate, overflow, converted, se_defined in zip(
         *(np.ravel(mask).tolist() for mask in masks)
@@ -341,11 +363,12 @@ def estimate(subset, full, confidence_level=0.95):
         full.n_full,
         confidence_level,
     )
-    # the reverse fit's own errors first: DomainError on an overflow
-    rev = rows.reverse_fit.single()
     (reason,) = drop_reasons(rows)
+    if reason == regress.FIT_OVERFLOW:
+        raise DomainError(reason)
     if reason is not None:
         raise DegenerateInput(reason)
+    rev = rows.reverse_fit.single()
     return OdebEstimate(
         beta_y=float(rows.beta_y),
         alpha_y=float(rows.alpha_y),

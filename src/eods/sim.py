@@ -363,6 +363,7 @@ def _arm(scenario, x_sub, y_sub, moments, first):
     if scenario.estimator == "ols":
         fit = regress.fit_rows(x_sub, y_sub)
         est, se, kept = fit.slope, fit.se_slope, ~fit.degenerate
+        overflow = fit.overflow
     else:
         mean_y, var_y = moments
         finite = np.isfinite(var_y)
@@ -379,8 +380,9 @@ def _arm(scenario, x_sub, y_sub, moments, first):
             return (np.empty(0),) * 4
         fit = rows.reverse_fit
         est, se, kept = rows.beta_y, rows.se_beta_y, rows.kept
-    if fit.overflow.any():
-        row = int(np.argmax(fit.overflow))
+        overflow = rows.overflow
+    if overflow.any():
+        row = int(np.argmax(overflow))
         raise _beyond_range(first + row, regress.FIT_OVERFLOW)
     est, se = est[kept], se[kept]
     t_point = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2)

@@ -544,9 +544,8 @@ def test_loader_missing_response_reported_before_a_later_bad_cell(tmp_path):
         cli._load_study(str(path), "resp")
 
 
-def test_loader_padded_missing_cells_load_in_linear_time(tmp_path):
-    # ", " separators make every missing cell " NA", which float()
-    # rejects; each such row is re-parsed alone, not its whole block
+def _padded_study(tmp_path):
+    """A tall study, and the same with ", " separators (plain, padded)."""
     rows = [
         [f"r{i}", repr(float(i)), repr(0.5 * i) if i % 50 < 5 else "NA"]
         for i in range(20000)
@@ -555,6 +554,13 @@ def test_loader_padded_missing_cells_load_in_linear_time(tmp_path):
     padded = tmp_path / "padded.csv"
     _write_study(plain, rows)
     padded.write_text(plain.read_text().replace(",", ", "))
+    return plain, padded
+
+
+def test_loader_padded_missing_cells_load_in_linear_time(tmp_path):
+    # ", " separators make every missing cell " NA", which float()
+    # rejects; each block holding one is parsed once more, cell by cell
+    plain, padded = _padded_study(tmp_path)
     outputs = [
         subprocess.run(
             [sys.executable, "-m", "eods.cli", "analyze", "--input",
@@ -566,6 +572,27 @@ def test_loader_padded_missing_cells_load_in_linear_time(tmp_path):
     assert outputs[0].returncode == 0, outputs[0].stderr
     assert outputs[1].returncode == 0, outputs[1].stderr
     assert outputs[1].stdout == outputs[0].stdout
+
+
+def test_loader_parses_a_padded_block_once(tmp_path, monkeypatch):
+    # a failed float() sends its whole block through _parse_rows once,
+    # not each failing row on its own
+    plain, padded = _padded_study(tmp_path)
+    parse_rows = cli._parse_rows
+    calls = []
+
+    def counting(held, first_line, columns):
+        calls.append(first_line)
+        return parse_rows(held, first_line, columns)
+
+    monkeypatch.setattr(cli, "_parse_rows", counting)
+    got = cli._load_study(str(padded), "resp")
+    blocks = -(-20000 // -(-cli._BLOCK_VALUES // 2))
+    assert 0 < len(calls) <= blocks
+    monkeypatch.setattr(cli, "_parse_rows", parse_rows)
+    want = cli._load_study(str(plain), "resp")
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1]["bm"], want[1]["bm"])
 
 
 def test_loader_error_before_a_padded_row_reported_first(tmp_path):
@@ -643,6 +670,65 @@ def test_screen_flags_overflowing_biomarker(tmp_path):
     assert rows["ok"][8] == ""
     # the failed column leaves the BH family, as every failed column does
     assert rows["ok"][5] == rows["ok"][6]
+
+
+def _tiny_response_study(path):
+    # y = 1e-155 x + 2e-162 noise: the reverse slope is about 1e155, so
+    # its square in the conversion leaves double range
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=200)
+    y = 1e-155 * x + 2e-162 * rng.normal(size=200)
+    order = np.argsort(y)
+    tested = set(order[:20].tolist()) | set(order[-20:].tolist())
+    _write_study(path, [
+        [f"r{i}", repr(float(y[i])), repr(float(x[i])) if i in tested else ""]
+        for i in range(200)
+    ])
+
+
+def _scaled_response_study(path):
+    # the golden study with its response times 1e-157: the response
+    # variance is subnormal and the reverse fit overflows
+    rows = _read_csv(GOLDEN_STUDY)
+    _write_study(
+        path,
+        [[r[0], repr(float(r[1]) * 1e-157), *r[2:]] for r in rows[1:]],
+        header=rows[0],
+    )
+
+
+@pytest.mark.parametrize(
+    "study", [_tiny_response_study, _scaled_response_study]
+)
+def test_conversion_overflow_rejected(tmp_path, capsys, study):
+    # the suite turns RuntimeWarning into an error, so none may leak;
+    # the tiny-response study once printed beta_y 0.0 and exit 0
+    path = tmp_path / "study.csv"
+    study(path)
+    biomarker = _read_csv(path)[0][2]
+    assert main(["analyze", "--input", str(path), "--response", "resp",
+                 "--biomarker", biomarker]) == 2
+    assert "beyond double range" in capsys.readouterr().err
+    out = tmp_path / "screen.csv"
+    assert main(["screen", "--input", str(path), "--response", "resp",
+                 "--out", str(out)]) == 0
+    for row in _read_csv(out)[1:]:
+        assert row[1:7] == ["NA"] * 6
+        assert "beyond double range" in row[8]
+
+
+def test_simulate_conversion_overflow_fails_the_cell(tmp_path):
+    # the cell once reported mean_estimate 0.0 and all 20 replicates used
+    cfg = tmp_path / "tiny.cfg"
+    _write_config(cfg, "n_full = 40\nbeta_y = 1e-155\ngamma = 0.5\n"
+                  "sampling = extreme\nestimator = odeb\nalpha_y = 0\n"
+                  "noise_variance = 5e-324\nreplicates = 20\nseed = 1\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["replicates_used"] == ""
+    assert "beyond double range" in row["error"]
 
 
 # ---------------------------------------------------------------- plan

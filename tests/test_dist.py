@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from eods import dist
+from eods import design, dist
 from eods.errors import DomainError
 
 TOL_PDF = 1e-15
@@ -286,3 +286,30 @@ def test_ncf_huge_ncp_is_zero_or_refused():
     # not guessed
     with pytest.raises(DomainError, match="beyond the series' range"):
         dist.f_cdf_noncentral(4e19, dist.NoncentralFParams(1, 1, 1e17))
+
+
+def test_ncf_upward_sweep_reaches_the_poisson_tail():
+    # eods plan --n-full 15 --gamma 0.2 --effect-f 20000 --alpha 1e-5:
+    # ncp 3.9e9 at df2 1, where the upward sweep needs about 3e5 terms
+    # and once stopped at 1e5, 3.9e-3 short of SciPy
+    result = design.power_eods(design.DesignSpec(15, 0.2, 20000.0, 1e-5))
+    crit = dist.t_quantile(1e-5 / 2.0, 1) ** 2
+    want = scipy.stats.ncf.sf(crit, 1, 1, result.ncp)
+    assert abs(result.power - want) < 1e-5, (result.power, want)
+    # at ncp 1e5 and 1e6, 1 - cum_w stays near 1e-10, above the 1e-12
+    # tail, so the sweep must end on its bound and not reach the cap
+    for ncp in (1e5, 1e6):
+        got = dist.f_cdf_noncentral(4e9, dist.NoncentralFParams(1, 1, ncp))
+        assert abs(got - scipy.stats.ncf.cdf(4e9, 1, 1, ncp)) < 1e-8
+
+
+def test_ncf_upward_sweep_cap_raises(monkeypatch):
+    # ncp 30 puts the mode at j0 = 15, so the downward sweep takes at
+    # most 15 terms, under the cap of 20; the upward sweep needs more
+    params = dist.NoncentralFParams(1, 1, 30.0)
+    assert 0.5 < dist.f_cdf_noncentral(1e3, params) < 1.0
+    monkeypatch.setattr(dist, "_POISSON_MAX_TERMS", 20)
+    with pytest.raises(DomainError, match="needs more than 20 terms"):
+        dist.f_cdf_noncentral(1e3, params)
+    monkeypatch.setattr(dist, "_POISSON_MAX_TERMS", 60)
+    assert dist.f_cdf_noncentral(1e3, params) > 0.5

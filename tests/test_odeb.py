@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from eods import dist, odeb
+from eods import dist, odeb, regress
 from eods.errors import DegenerateInput, DomainError, InsufficientData
 from eods.regress import PairedSample, fit_simple
 
@@ -43,6 +43,9 @@ def test_conversion_errors():
         odeb.convert_reverse_to_forward(0.0, 0.5, 0.0, 1.0, 4.0)
     with pytest.raises(DomainError):
         odeb.convert_reverse_to_forward(0.2, 0.5, 1.0, 1.0, 0.0)
+    # the squared slope leaves double range, which once gave beta_y 0.0
+    with pytest.raises(DomainError, match="beyond double range"):
+        odeb.convert_reverse_to_forward(np.float64(1e155), 0.5, 1.0, 1.0, 4.0)
 
 
 def test_conversion_round_trip():
@@ -269,3 +272,25 @@ def test_slope_ceiling_rejects_a_breach():
     odeb.check_slope_ceiling(
         np.array([0.5, -0.5, 7.0]), 1.0, np.array([1.0, 1.0, 0.0])
     )
+
+
+def test_estimate_rows_flag_a_conversion_beyond_double_range():
+    # responses near 1e-155 give the second biomarker a reverse slope
+    # near 1e155: the fit's sums stay finite, but the slope's square in
+    # the conversion does not. That row was kept with beta_y 0.0 and a
+    # NaN standard error
+    rng = np.random.default_rng(2)
+    base = rng.normal(size=40)
+    y = 1e-155 * base + 2e-162 * rng.normal(size=40)
+    x = np.stack([1e-150 * rng.normal(size=40), base])
+    mean_y, var_y = odeb.response_moments(y)
+    rows = odeb.estimate_rows(y, x, float(mean_y), float(var_y), 40)
+    assert not rows.reverse_fit.overflow.any()
+    assert rows.overflow.tolist() == [False, True]
+    assert rows.kept.tolist() == [True, False]
+    assert odeb.drop_reasons(rows) == [None, regress.FIT_OVERFLOW]
+    with pytest.raises(DomainError, match="beyond double range"):
+        odeb.estimate(
+            odeb.SelectedSubset.from_arrays(base, y, 1.0),
+            odeb.FullResponseSummary(40, float(mean_y), float(var_y)),
+        )
