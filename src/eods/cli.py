@@ -279,13 +279,12 @@ def _write_qq(prefix, diag):
     paths = (f"{prefix}_qq_response.csv", f"{prefix}_qq_residuals.csv")
     # lines straight to each file: a csv.writer call per row cost as much
     # as the rest of the write, no formatted float needs quoting, and one
-    # joined string would raise the peak memory by about its size twice
+    # joined string would raise the peak memory by about its size twice;
+    # every value is a finite float, so repr is _fmt's text
     for path, series in zip(paths, (diag.response_qq, diag.residual_qq)):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("theoretical_quantile,observed_value\n")
-            fh.writelines(
-                f"{_fmt(float(tq))},{_fmt(float(ov))}\n" for tq, ov in series
-            )
+            fh.writelines(f"{tq!r},{ov!r}\n" for tq, ov in series)
     return paths
 
 

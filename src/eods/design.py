@@ -107,8 +107,6 @@ def power_full(n, effect_f, alpha):
 
 def power_eods(spec):
     """Power of the extreme-sampling design described by spec."""
-    if not isinstance(spec, DesignSpec):
-        spec = DesignSpec(*spec)
     df2 = spec.n_selected - 2
     vif = variance_inflation(spec.gamma)
     try:

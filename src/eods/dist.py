@@ -219,8 +219,6 @@ def f_cdf_noncentral(x, params):
     included, is answered by a tail bound when the cdf is 0 to double
     precision, and raises DomainError otherwise.
     """
-    if not isinstance(params, NoncentralFParams):
-        params = NoncentralFParams(*params)
     if x <= 0.0:
         return 0.0
     d1, d2, lam = params.df1, params.df2, params.ncp

@@ -196,8 +196,6 @@ def fit_rows(predictor, response):
 
 def fit_simple(sample):
     """Ordinary least squares for a PairedSample: fit_rows on one sample."""
-    if not isinstance(sample, PairedSample):
-        sample = PairedSample(*sample)
     return fit_rows(sample.predictor, sample.response).single()
 
 
@@ -212,10 +210,9 @@ def qq_points(values):
     n = values.shape[0]
     if n < 3:
         raise DegenerateInput("need at least 3 values for a probability plot")
-    ordered = np.sort(values)
     return [
-        (dist.norm_quantile((i - 0.5) / n), float(ordered[i - 1]))
-        for i in range(1, n + 1)
+        (dist.norm_quantile((i - 0.5) / n), value)
+        for i, value in enumerate(np.sort(values).tolist(), start=1)
     ]
 
 

@@ -55,12 +55,6 @@ def extreme_rows(y, n_selected):
     indices is (R, n_selected), each row's low-tail indices ascending
     and then its high-tail indices ascending; low_tie and high_tie flag
     the rows whose low or high cut value also occurs on a row left out.
-
-    One sort gives every row's two cuts. A row is settled when the
-    values next to each cut in its sorted order differ from that cut:
-    its tails are then the values at or below the low cut and at or
-    above the high cut, found already in index order. One stable
-    argsort settles the other rows.
     """
     n = y.shape[1]
     n_low = n_selected // 2
@@ -77,6 +71,8 @@ def extreme_rows(y, n_selected):
     idx = np.empty((len(y), n_selected), dtype=np.intp)
     settled = np.flatnonzero(~tied)
     if settled.size:
+        # a settled row's tails are its values at or below the low cut
+        # and at or above the high cut, found in index order
         sub = y if settled.size == len(y) else y[settled]
         # flat positions, row by row, less each row's first one
         offset = n * np.arange(settled.size)[:, None]
@@ -88,30 +84,18 @@ def extreme_rows(y, n_selected):
     high_tie = np.zeros(len(y), dtype=bool)
     if tied.any():
         rows = np.flatnonzero(tied)
-        # ascending by value, equal values in index order
-        asc = np.argsort(y[rows], kind="stable", axis=1)
-        ranked = ranked[rows]
-        cut = ranked[:, n - n_high, None]
-        # The values equal to the high cut that the low tail left sit at
-        # [start, stop) of the sorted row; the high tail is the first
-        # `need` of them and every value above them.
-        start = np.maximum(np.count_nonzero(ranked < cut, axis=1), n_low)
-        stop = np.count_nonzero(ranked <= cut, axis=1)
-        need = (stop - (n - n_high))[:, None]
-        j = np.arange(n_high)
-        at = np.where(j < need, start[:, None] + j, stop[:, None] + j - need)
-        idx[rows, :n_low] = np.sort(asc[:, :n_low], axis=1)
-        idx[rows, n_low:] = np.sort(
-            np.take_along_axis(asc, at, axis=1), axis=1
-        )
-        high_tie[rows] = start + need[:, 0] < stop
-        # A left-out value equal to the low cut sits right after the low
-        # tail; when the two cuts are equal, it is one the high tail left.
-        low_tie[rows] = np.where(
-            ranked[:, n_low - 1] == cut[:, 0],
-            high_tie[rows],
-            ranked[:, n_low] == ranked[:, n_low - 1],
-        )
+        sub = y[rows]
+        low = np.argsort(sub, axis=1, kind="stable")[:, :n_low]
+        out = np.ones(sub.shape, dtype=bool)
+        np.put_along_axis(out, low, False, axis=1)
+        # the low tail sorts last, so the high tail is drawn from the rest
+        rest = np.where(out, -sub, np.inf)
+        high = np.argsort(rest, axis=1, kind="stable")[:, :n_high]
+        np.put_along_axis(out, high, False, axis=1)
+        idx[rows, :n_low] = np.sort(low, axis=1)
+        idx[rows, n_low:] = np.sort(high, axis=1)
+        low_tie[rows] = (out & (sub == low_cut[rows])).any(axis=1)
+        high_tie[rows] = (out & (sub == high_cut[rows])).any(axis=1)
     return idx, low_tie, high_tie
 
 

@@ -386,29 +386,44 @@ def _arm(scenario, x_sub, y_sub, moments, first):
         raise _beyond_range(first + row, regress.FIT_OVERFLOW)
     est, se = est[kept], se[kept]
     t_point = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2)
-    half = t_point * se
-    return est, est - half, est + half, np.abs(fit.t_stat[kept]) >= t_point
+    # an interval beyond double range is infinite, which _metrics rejects
+    with np.errstate(over="ignore"):
+        half = t_point * se
+        lo, hi = est - half, est + half
+    return est, lo, hi, np.abs(fit.t_stat[kept]) >= t_point
 
 
 def _metrics(scenario, est, lo, hi, rejected):
+    """The SimMetrics of a scenario's kept replicates.
+
+    All NaN when no replicate was kept. A metric beyond double range,
+    an RMSE whose squared errors overflow for one, raises DomainError.
+    """
     used = est.shape[0]
     if used == 0:
         nan = math.nan
         return SimMetrics(nan, nan, nan, nan, nan, nan, nan, 0)
-    err = est - scenario.beta_y
-    mean_est = float(np.mean(est))
-    return SimMetrics(
-        mean_estimate=mean_est,
-        bias=mean_est - scenario.beta_y,
-        rmse=float(np.sqrt(np.mean(err * err))),
-        mae=float(np.median(np.abs(err))),
-        rejection_rate=float(np.mean(rejected)),
-        ci_coverage=float(
-            np.mean((lo <= scenario.beta_y) & (scenario.beta_y <= hi))
-        ),
-        mean_ci_length=float(np.mean(hi - lo)),
-        replicates_used=used,
-    )
+    # an overflow shows as a non-finite metric, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = est - scenario.beta_y
+        mean_est = float(np.mean(est))
+        metrics = SimMetrics(
+            mean_estimate=mean_est,
+            bias=mean_est - scenario.beta_y,
+            rmse=float(np.sqrt(np.mean(err * err))),
+            mae=float(np.median(np.abs(err))),
+            rejection_rate=float(np.mean(rejected)),
+            ci_coverage=float(
+                np.mean((lo <= scenario.beta_y) & (scenario.beta_y <= hi))
+            ),
+            mean_ci_length=float(np.mean(hi - lo)),
+            replicates_used=used,
+        )
+    if not all(map(math.isfinite, dataclasses.astuple(metrics))):
+        raise DomainError(
+            "metrics beyond double range; the scenario's scales are too large"
+        )
+    return metrics
 
 
 # The fields a scenario may change without changing its draws: the arm
@@ -515,9 +530,12 @@ def _run_group(scenarios):
                         outcomes[i] = exc
                         del parts[i]
     for i, results in parts.items():
-        outcomes[i] = _metrics(
-            scenarios[i], *(np.concatenate(part) for part in zip(*results))
-        )
+        try:
+            outcomes[i] = _metrics(
+                scenarios[i], *(np.concatenate(part) for part in zip(*results))
+            )
+        except DomainError as exc:
+            outcomes[i] = exc
     return outcomes
 
 
@@ -549,8 +567,6 @@ def run_grid(scenarios, workers=1):
     scenarios = list(scenarios)
     if not scenarios:
         raise DomainError("scenario grid is empty")
-    if workers is None:
-        workers = 1
     workers = int(workers)
     if workers < 1:
         raise DomainError("workers must be at least 1")

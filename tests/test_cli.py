@@ -731,6 +731,24 @@ def test_simulate_conversion_overflow_fails_the_cell(tmp_path):
     assert "beyond double range" in row["error"]
 
 
+@pytest.mark.parametrize("alpha_level", ["0.05", "1e-300"])
+def test_simulate_metrics_overflow_fails_the_cell(tmp_path, alpha_level):
+    # the odeb cell once wrote rmse inf (and at 1e-300 an infinite
+    # mean_ci_length) with a RuntimeWarning; its ols cell fails in the fit
+    cfg = tmp_path / "wild.cfg"
+    _write_config(cfg, "n_full = 20\nbeta_y = 0.0\ngamma = 0.2\n"
+                  "sampling = random\nestimator = odeb, ols\nreplicates = 5\n"
+                  "seed = 1\nx_var = 1e-300\nnoise_variance = 1e20\n"
+                  f"alpha_level = {alpha_level}\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        odeb_row, ols_row = csv.DictReader(fh)
+    assert odeb_row["rmse"] == ""
+    assert odeb_row["error"].startswith("metrics beyond double range")
+    assert ols_row["error"].startswith("replicate 0: sums of squares")
+
+
 # ---------------------------------------------------------------- plan
 
 

@@ -490,9 +490,19 @@ def test_block_selection_matches_select_extremes():
         [3.0, 8.0, 9.0, 1.0, 7.0, 0.0, 8.0, 4.0, 6.0, 5.0],  # high cut
         [5.0, 5.0, 9.0, 5.0, 5.0, 0.0, 5.0, 5.0, 5.0, 5.0],  # both cuts
     ]
+    signed_zeros = [
+        [0.0, 5.0, -0.0, 9.0, -1.0, 7.0, 0.0, 8.0, 4.0, 6.0],  # low cut
+        [-0.0, -5.0, 0.0, -9.0, 1.0, -7.0, -0.0, -8.0, -4.0, -6.0],  # high
+        [0.0, -0.0] * 5,  # both cuts
+    ]
+    # 200 rows of two or three levels: nearly every cut ties
+    levels = np.array([[2], [3]] * 100)
+    coarse = np.random.default_rng(7).integers(0, levels, size=(200, 25))
     cases = [
         (np.array([distinct] + tied_rows + [distinct[::-1]]), 0.4, 4),
         (np.array([distinct, [2.0] * 10]), 1.0, 10),
+        (np.array(signed_zeros), 0.4, 4),
+        (coarse.astype(float), 0.2, 5),
     ]
     for block, gamma, n_selected in cases:
         ties = _assert_reference_tails(block, n_selected)
@@ -677,6 +687,27 @@ def test_overflowing_reverse_fit_fails_the_odeb_arm():
     s = _scenario(n_full=10, gamma=0.6)
     with pytest.raises(DomainError, match="replicate 7: sums of squares"):
         sim._arm(s, x_sub, y_sub, moments, 5)
+
+
+def test_metrics_beyond_double_range_fail_only_their_cell():
+    # every replicate is kept, but the squared errors overflow, and at a
+    # tiny alpha_level the intervals too; the cells once wrote rmse inf
+    # and, at 1e-300, mean_ci_length inf and ci_coverage 1.0
+    cell = dict(n_full=20, beta_y=0.0, sampling="random", replicates=5, seed=1)
+    wild = dict(cell, x_var=1e-300, noise_variance=1e20)
+    grid = [
+        _scenario(**wild),
+        _scenario(**wild, alpha_level=1e-300),
+        _scenario(**cell),
+    ]
+    rows = sim.run_grid(grid)
+    for r in rows[:2]:
+        assert r.metrics is None
+        assert r.error.startswith("metrics beyond double range")
+    assert rows[2].error is None
+    assert rows[2].metrics == sim.run_scenario(grid[2])
+    with pytest.raises(DomainError, match="beyond double range"):
+        sim.run_scenario(grid[1])
 
 
 def _counting(monkeypatch, module, name):
