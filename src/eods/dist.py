@@ -10,9 +10,10 @@ noncentral-F series truncated when the remaining Poisson mass drops
 below 1e-12. The t cdf meets its target at every t up to df 1000;
 at df 1e4 it is about 4e-12 off, and at 1e6 about 3e-10. The normal
 quantile is Wichura's AS 241 (Applied Statistics 37, 1988) from the
-standard library; the Student-t quantile is the only one solved by
-bisection, on its lower tail, an upper quantile being the negated
-lower one.
+standard library; the Student-t quantile is the only one solved
+iteratively, by safeguarded Newton steps from Hill's start (CACM
+Algorithm 396, 1970) on its lower tail, an upper quantile being the
+negated lower one.
 """
 
 import math
@@ -37,6 +38,7 @@ _POISSON_MAX_TERMS = 10**6
 # digits, and a cdf that is not zero would need millions of terms.
 _SERIES_MAX_HALF = 2.0**40
 _QUANTILE_XTOL = 1e-12
+_QUANTILE_MAX_ITER = 100
 _STANDARD_NORMAL = NormalDist()
 
 
@@ -106,8 +108,11 @@ def _betacf(a, b, x):
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
-            break
-    return h
+            return h
+    raise DomainError(
+        f"incomplete beta continued fraction at a = {a!r}, b = {b!r}, "
+        f"x = {x!r} needs more than {_BETACF_MAX_ITER} iterations"
+    )
 
 
 def _ibeta(a, b, x, y):
@@ -161,13 +166,57 @@ def t_cdf(x, df):
     return tail if x < 0 else 1.0 - tail
 
 
+def _hill_start(q, df):
+    """Hill's Algorithm 396 (CACM 13, 1970): |t| with P(T < -|t|) = q.
+
+    Closed forms at df 1 and 2, Hill's expansion from df 3 on. At any
+    other df below 3, the leading term of the tail, q = w^(df/2) /
+    (df B(df/2, 1/2)) at w = df / (df + t^2).
+    """
+    p = 2.0 * q  # two-sided
+    if df == 1:
+        return 1.0 / math.tan(math.pi * q)
+    if df == 2:
+        return math.sqrt(2.0 / (p * (2.0 - p)) - 2.0)
+    if df < 3:
+        log_beta = math.lgamma(0.5 * df) + math.lgamma(0.5) - math.lgamma(0.5 * df + 0.5)
+        log_t = 0.5 * math.log(df) - (math.log(q) + math.log(df) + log_beta) / df
+        # past exp's range the root is too, and t_cdf reads 0 there
+        return math.exp(min(log_t, 709.0))
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
+    y = (d * p) ** (2.0 / df)
+    if y > 0.05 + a:
+        # the normal-based expansion, away from the far tail
+        x = norm_quantile(q)
+        y = x * x
+        if df < 5:
+            c += 0.3 * (df - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        y = (
+            (1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+             + 0.5 / (df + 4.0)) * y - 1.0
+        ) * (df + 1.0) / (df + 2.0) + 1.0 / y
+    return math.sqrt(df * y)
+
+
 @lru_cache(maxsize=4096)
 def t_quantile(p, df):
     """Inverse Student-t cdf. Cached: simulation loops reuse few (p, df).
 
-    Solved on the lower tail q = min(p, 1 - p), by bisection and a
-    secant step, and negated for p > 0.5. 1 - p is exact for p >= 0.5
-    (Sterbenz), while a small p mirrored to 1 - p would lose its digits.
+    Solved on the lower tail q = min(p, 1 - p) and negated for p > 0.5.
+    1 - p is exact for p >= 0.5 (Sterbenz), while a small p mirrored to
+    1 - p would lose its digits. From Hill's start, Newton steps on log F,
+    dx = (log q - log F) F / pdf, each one evaluation of t_cdf. The
+    points evaluated bracket the root; a step that would leave the
+    bracket, or fail to halve the step before it, bisects the bracket
+    instead. The search stops once a step, or the bracket, is within
+    1e-12 of x relative (absolute below |x| = 1).
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")
@@ -176,35 +225,48 @@ def t_quantile(p, df):
     if p == 0.5:
         return 0.0
     sign, q = (-1.0, 1.0 - p) if p > 0.5 else (1.0, p)
-    lo = -2.0
-    while (cdf_lo := t_cdf(lo, df)) > q:
-        lo *= 2.0
-    if cdf_lo == 0.0:
-        # x * x overflowed or the cdf underflowed before reaching q
-        raise DomainError(f"t quantile at p = {p!r} is beyond double range")
-    # [lo, 0] brackets the root: t_cdf(lo) <= q < t_cdf(0) = 0.5.
-    a, b, fa, fb = lo, 0.0, cdf_lo - q, 0.5 - q
-    if fa == 0.0:
-        return sign * a
-    # Bisect to bracket-width convergence. An |f| stopping rule would be
-    # wrong out in the tails, where the cdf is nearly flat and points far
-    # from the root already match q to machine precision.
-    for _ in range(100):
-        x = 0.5 * (a + b)
-        fx = t_cdf(x, df) - q
-        if fx == 0.0:
+    log_q = math.log(q)
+    # log of the t pdf at 0
+    log_pdf0 = (
+        math.lgamma(0.5 * (df + 1.0))
+        - math.lgamma(0.5 * df)
+        - 0.5 * math.log(df * math.pi)
+    )
+    lo, hi = -math.inf, 0.0  # t_cdf(lo) < q < t_cdf(hi)
+    x = -_hill_start(q, df)
+    last = math.inf
+    for _ in range(_QUANTILE_MAX_ITER):
+        f = t_cdf(x, df)
+        if f == 0.0:
+            # x * x overflowed or the cdf underflowed before reaching q
+            raise DomainError(f"t quantile at p = {p!r} is beyond double range")
+        if f == q:
             return sign * x
-        if fx < 0:
-            a, fa = x, fx
+        if f < q:
+            lo = x
         else:
-            b, fb = x, fx
-        if b - a <= _QUANTILE_XTOL * max(1.0, abs(x)):
-            break
-    # One secant refinement inside the final bracket.
-    x = b - fb * (b - a) / (fb - fa)
-    if a <= x <= b:
-        return sign * x
-    return sign * 0.5 * (a + b)
+            hi = x
+        # (log q - log F) F / pdf, with the pdf in logs as F is
+        log_f = math.log(f)
+        log_pdf = log_pdf0 - 0.5 * (df + 1.0) * math.log1p(x * x / df)
+        step = (log_q - log_f) * math.exp(log_f - log_pdf)
+        tol = _QUANTILE_XTOL * max(1.0, abs(x))
+        if abs(step) <= tol:
+            return sign * (x + step)
+        # from df 1e5 on t_cdf's rounding can outweigh its slope across
+        # the tolerance, and only the bracket's width ends the search
+        if hi - lo <= tol:
+            return sign * x
+        # bisect for a step that leaves the bracket, or that fails to
+        # halve the last one once both ends are known
+        if not lo < x + step < hi or (lo > -math.inf and abs(step) > 0.5 * last):
+            step = 0.5 * (lo + hi) - x
+        last = abs(step)
+        x += step
+    raise DomainError(
+        f"t quantile at p = {p!r}, df = {df!r} did not converge in "
+        f"{_QUANTILE_MAX_ITER} steps"
+    )
 
 
 def f_cdf_noncentral(x, params):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from eods import cli, odeb, sim
+from eods import cli, dist, odeb, sim
 from eods.cli import main
 from eods.errors import SchemaError
 
@@ -755,6 +755,18 @@ def test_simulate_metrics_overflow_fails_the_cell(tmp_path, alpha_level):
 def test_plan_golden_byte_stable():
     with open(os.path.join(DATA_DIR, "golden_plan.txt"), "rb") as fh:
         assert GEN_GOLDEN.plan_transcript().encode("utf-8") == fh.read()
+
+
+def test_plan_golden_queries_take_few_t_cdf_calls(monkeypatch):
+    # the nine queries, from an empty quantile cache, made 3042 t_cdf
+    # calls when the t quantile was solved by bisection
+    bisection_calls = 3042
+    calls = []
+    t_cdf = dist.t_cdf
+    monkeypatch.setattr(dist, "t_cdf", lambda x, df: calls.append(x) or t_cdf(x, df))
+    dist.t_quantile.cache_clear()
+    GEN_GOLDEN.plan_transcript()
+    assert len(calls) <= bisection_calls / 5, len(calls)
 
 
 def test_plan_min_gamma_line(capsys):

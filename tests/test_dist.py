@@ -149,7 +149,7 @@ def test_t_quantile_matches_scipy_in_the_tails():
     # 1 - 1e-100 rounds to 1, outside the domain
     upper = tuple(1.0 - p for p in lower if p > 1e-100)
     for p in lower + upper:
-        for df in (1, 2, 3, 5, 18, 200, 2000):
+        for df in (1, 2, 3, 5, 18, 200, 2000, 20000):
             want = float(scipy.stats.t.ppf(p, df))
             got = dist.t_quantile(p, df)
             assert abs(got - want) <= TOL_T_Q_REL * abs(want), (p, df, got, want)
@@ -169,9 +169,50 @@ def test_t_quantile_roundtrip():
     rng = random.Random(7)
     for _ in range(50):
         p = rng.uniform(0.01, 0.99)
-        df = rng.choice([1, 2, 5, 18, 78, 400])
+        df = rng.choice([1, 2, 5, 18, 78, 400, 20000])
         x = dist.t_quantile(p, df)
         assert abs(dist.t_cdf(x, df) - p) < 1e-10
+
+
+def _count_t_cdf(monkeypatch):
+    """The list that each later dist.t_cdf call appends its x to."""
+    calls = []
+    t_cdf = dist.t_cdf
+    monkeypatch.setattr(dist, "t_cdf", lambda x, df: calls.append(x) or t_cdf(x, df))
+    return calls
+
+
+def test_t_quantile_takes_few_cdf_calls(monkeypatch):
+    # Newton steps from Hill's start: at most 10 t_cdf calls a quantile
+    # over the tails and degrees of freedom the package reaches
+    calls = _count_t_cdf(monkeypatch)
+    for df in (1, 2, 3, 5, 18, 200, 2000, 20000):
+        for p in (1e-100, 1e-12, 2.5e-8, 1e-4, 0.025, 0.3, 0.499):
+            calls.clear()
+            dist.t_quantile.__wrapped__(p, df)
+            assert len(calls) <= 10, (p, df, len(calls))
+
+
+def test_t_quantile_off_integer_and_large_df(monkeypatch):
+    # starts outside Hill's integer range
+    for df in (0.1, 0.5, 1.5, 2.5, 7.3):
+        for p in (1e-12, 0.025, 0.3):
+            want = float(scipy.stats.t.ppf(p, df))
+            got = dist.t_quantile(p, df)
+            assert abs(got - want) <= TOL_T_Q_REL * abs(want), (p, df, got, want)
+    with pytest.raises(DomainError, match="beyond double range"):
+        dist.t_quantile(1e-100, 0.5)
+    # from df 1e5 on t_cdf's rounding, 2e-9 relative at df 1e7, outweighs
+    # its slope across 1e-12 of x, and the bracket's width ends the search
+    calls = _count_t_cdf(monkeypatch)
+    for df in (1e5, 1e7, 1e9):
+        for p in (1e-300, 1e-12, 0.025, 0.3):
+            calls.clear()
+            got = dist.t_quantile.__wrapped__(p, df)
+            assert len(calls) <= 50, (p, df, len(calls))
+            if df < 1e9:
+                want = float(scipy.stats.t.ppf(p, df))
+                assert abs(got - want) <= 1e-8 * abs(want), (p, df, got, want)
 
 
 def test_f_critical_value_is_t_squared():
@@ -201,6 +242,14 @@ def test_incomplete_beta_basics():
         lhs = dist.regularized_incomplete_beta(a, b, x)
         rhs = 1.0 - dist.regularized_incomplete_beta(b, a, 1.0 - x)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_incomplete_beta_cap_raises():
+    # the continued fraction needs about sqrt(a) terms at the mean; at
+    # a = b = 1e6 it once stopped at its cap, 4e-7 short of 0.5
+    assert abs(dist.regularized_incomplete_beta(1e4, 1e4, 0.5) - 0.5) < 1e-11
+    with pytest.raises(DomainError, match="more than 300 iterations"):
+        dist.regularized_incomplete_beta(1e6, 1e6, 0.5)
 
 
 def test_ncf_params_validation():
