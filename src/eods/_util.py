@@ -10,6 +10,9 @@ import sys
 
 from .errors import DomainError
 
+# The fewest selected pairs odeb.estimate_rows takes; no plan selects fewer
+MIN_ESTIMATE_PAIRS = 4
+
 
 def round_half_away_from_zero(x):
     """Round to the nearest integer; ties (x.5) go away from zero.

@@ -9,9 +9,9 @@ Grid config files are line-oriented `key = v1, v2, ...` pairs with '#'
 comments. List values are allowed for n_full, beta_y, gamma,
 residual_family, sampling and estimator; the grid is their cross
 product, expanded with n_full outermost and estimator innermost. All
-other keys take a single value. A t_df value applies only to cells
-whose residual_family is the plain token "scaled_t"; parenthesized
-tokens such as scaled_t(10) carry their own degrees of freedom.
+other keys take a single value. A t_df value is the degrees of freedom
+of every scaled_t cell, and other cells ignore it; a scaled_t(10) token
+that carries a different df fails the whole config as a conflict.
 """
 
 import argparse

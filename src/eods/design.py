@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import dist
+from ._util import MIN_ESTIMATE_PAIRS, round_half_away_from_zero
 from ._util import check_alpha, check_gamma, selected_count, whole_number
 from .errors import DomainError, Infeasible
 
@@ -138,10 +139,10 @@ def _smallest_meeting(meets, lo, cap):
 def min_gamma_for_power(n_full, effect_f, alpha, target_power):
     """Smallest even selected-subset size meeting the power target.
 
-    Brackets and bisects n_selected = 2h (h per tail, h >= 2) at fixed
-    n_full; returns (gamma, n_selected, achieved_power), full sampling
-    for an odd n_full that no even size serves. Infeasible if even full
-    sampling (gamma = 1) cannot reach the target.
+    Brackets and bisects n_selected = 2h >= MIN_ESTIMATE_PAIRS (h per
+    tail) at fixed n_full; returns (gamma, n_selected, achieved_power),
+    full sampling for an odd n_full that no even size serves. Infeasible
+    if even full sampling (gamma = 1) cannot reach the target.
     """
     _check_target_power(target_power, alpha)
     full = power_eods(DesignSpec(n_full, 1.0, effect_f, alpha))
@@ -155,7 +156,8 @@ def min_gamma_for_power(n_full, effect_f, alpha, target_power):
         spec = DesignSpec(n_full, 2 * half / n_full, effect_f, alpha)
         return power_eods(spec).power
 
-    half = _smallest_meeting(lambda h: power_at(h) >= target_power, 2, n_full // 2)
+    lo = (MIN_ESTIMATE_PAIRS + 1) // 2
+    half = _smallest_meeting(lambda h: power_at(h) >= target_power, lo, n_full // 2)
     if half is None:
         return 1.0, n_full, full.power
     return 2 * half / n_full, 2 * half, power_at(half)
@@ -164,18 +166,18 @@ def min_gamma_for_power(n_full, effect_f, alpha, target_power):
 def min_nfull_for_power(gamma, effect_f, alpha, target_power):
     """Smallest n_full meeting the power target at a fixed gamma.
 
-    Brackets and bisects over the n_full >= 5 that select at least 3
-    subjects. Infeasible if no n_full up to 10,000,000 reaches the target.
+    Brackets and bisects over the n_full >= 5 that select at least
+    MIN_ESTIMATE_PAIRS subjects, the fewest the estimator takes.
+    Infeasible if none up to 10,000,000 reaches the target.
     """
     check_gamma(gamma)
     _check_effect_f(effect_f)
     _check_target_power(target_power, alpha)
 
     def meets(n):
-        try:
-            spec = DesignSpec(n, gamma, effect_f, alpha)
-        except DomainError:  # the checks above leave only the count
+        if round_half_away_from_zero(gamma * n) < MIN_ESTIMATE_PAIRS:
             return False
+        spec = DesignSpec(n, gamma, effect_f, alpha)
         return power_eods(spec).power >= target_power
 
     n_full = _smallest_meeting(meets, 5, _MAX_N_FULL)

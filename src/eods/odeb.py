@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dist, regress
-from ._util import check_gamma
+from ._util import MIN_ESTIMATE_PAIRS, check_gamma
 from .errors import DegenerateInput, DomainError, InsufficientData
 
 
@@ -110,6 +110,13 @@ _CONVERSION_UNDEFINED = (
     "reverse fit is deterministic with zero slope; conversion undefined"
 )
 _SLOPE_VARIANCE_COLLAPSED = "collapsed denominator in the slope variance"
+# (error type, text) per flag drop_reasons reads, in the order it reads them
+_DROP_VERDICTS = (
+    *regress.FIT_VERDICTS,
+    (DomainError, "forward estimate, SE or interval beyond double range"),
+    (DegenerateInput, _CONVERSION_UNDEFINED),
+    (DegenerateInput, _SLOPE_VARIANCE_COLLAPSED),
+)
 
 
 def _forward_rows(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
@@ -232,12 +239,8 @@ class EstimateRows:
     """estimate() for one subset or many: entry i belongs to row i.
 
     Fields are scalars for one subset and arrays for many. kept marks
-    the rows that have an estimate. The others were dropped by the
-    reverse fit (reverse_fit.degenerate), a result beyond double range
-    (overflow: reverse_fit.overflow, or a conversion, SE or interval
-    that is not finite), the conversion (converted) or the slope
-    variance (se_defined), checked in that order, and hold meaningless
-    values.
+    the rows that have an estimate; the others hold meaningless values,
+    and drop_reasons names why. overflow includes reverse_fit.overflow.
     """
 
     beta_y: np.ndarray
@@ -271,9 +274,10 @@ def estimate_rows(
             f"confidence level must lie in (0, 1), got {confidence_level!r}"
         )
     n_selected = np.shape(responses)[-1]
-    if n_selected < 4:
+    if n_selected < MIN_ESTIMATE_PAIRS:
         raise InsufficientData(
-            "need at least 4 selected pairs for variance inference"
+            f"need at least {MIN_ESTIMATE_PAIRS} selected pairs for variance "
+            "inference"
         )
     if n_selected > n_full:
         raise DomainError("selected subset is larger than the full sample")
@@ -319,31 +323,23 @@ def estimate_rows(
 def drop_reasons(rows):
     """Why each row of an EstimateRows has no estimate; None where kept.
 
-    The error text that estimate() raises for the row, from the first
-    of reverse_fit.degenerate, overflow, converted and se_defined that
-    drops it. A list with one entry per row, one entry for one subset.
+    Each row's first _DROP_VERDICTS entry whose flag holds: the error
+    type and text that estimate() raises for the row. A list with one
+    entry per row, one entry for one subset.
     """
-    masks = (
+    flags = (
         rows.reverse_fit.degenerate,
+        rows.reverse_fit.overflow,
         rows.overflow,
-        rows.converted,
-        rows.se_defined,
+        ~rows.converted,
+        ~rows.se_defined,
+        rows.kept,  # holds exactly where no flag before it does
     )
-    reasons = []
-    for degenerate, overflow, converted, se_defined in zip(
-        *(np.ravel(mask).tolist() for mask in masks)
-    ):
-        if degenerate:
-            reasons.append(regress.ZERO_PREDICTOR_VARIANCE)
-        elif overflow:
-            reasons.append(regress.FIT_OVERFLOW)
-        elif not converted:
-            reasons.append(_CONVERSION_UNDEFINED)
-        elif not se_defined:
-            reasons.append(_SLOPE_VARIANCE_COLLAPSED)
-        else:
-            reasons.append(None)
-    return reasons
+    entries = (*_DROP_VERDICTS, None)
+    return [
+        entries[row.index(True)]
+        for row in zip(*(np.ravel(flag).tolist() for flag in flags))
+    ]
 
 
 def estimate(subset, full, confidence_level=0.95):
@@ -364,10 +360,9 @@ def estimate(subset, full, confidence_level=0.95):
         confidence_level,
     )
     (reason,) = drop_reasons(rows)
-    if reason == regress.FIT_OVERFLOW:
-        raise DomainError(reason)
     if reason is not None:
-        raise DegenerateInput(reason)
+        error, text = reason
+        raise error(text)
     rev = rows.reverse_fit.single()
     return OdebEstimate(
         beta_y=float(rows.beta_y),

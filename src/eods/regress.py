@@ -16,6 +16,11 @@ from .errors import DegenerateInput, DomainError
 TOO_FEW_PAIRS = "need at least 3 paired observations"
 ZERO_PREDICTOR_VARIANCE = "predictor has zero sample variance"
 FIT_OVERFLOW = "sums of squares or slope variance beyond double range"
+# (error type, text) per flag that drops a fit: degenerate, then overflow
+FIT_VERDICTS = (
+    (DegenerateInput, ZERO_PREDICTOR_VARIANCE),
+    (DomainError, FIT_OVERFLOW),
+)
 
 
 @dataclass
@@ -86,13 +91,13 @@ class FitRows:
     def single(self):
         """The fit of one sample as a FitResult.
 
-        DegenerateInput for a zero-variance predictor, DomainError for a
-        fit beyond double range.
+        A flagged fit raises its FIT_VERDICTS entry.
         """
-        if self.degenerate:
-            raise DegenerateInput(ZERO_PREDICTOR_VARIANCE)
-        if self.overflow:
-            raise DomainError(FIT_OVERFLOW)
+        for flag, (error, text) in zip(
+            (self.degenerate, self.overflow), FIT_VERDICTS
+        ):
+            if flag:
+                raise error(text)
         sxx, syy, sxy = (float(v) for v in self.sums)
         r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
         t_stat = float(self.t_stat)

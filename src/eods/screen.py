@@ -235,7 +235,7 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
             reasons = [str(exc)] * len(positions)
             values = [None] * len(positions)
         else:
-            reasons = odeb.drop_reasons(est)
+            reasons = [r and r[1] for r in odeb.drop_reasons(est)]
             values = zip(
                 est.beta_y.tolist(),
                 est.se_beta_y.tolist(),

@@ -51,11 +51,7 @@ import numpy as np
 from . import odeb, regress, screen
 from ._util import check_alpha, check_gamma, selected_count, whole_number
 from .dist import t_quantile
-from .errors import (
-    DomainError,
-    EodsError,
-    InsufficientData,
-)
+from .errors import DomainError, EodsError
 
 _FAMILIES = ("normal", "scaled_t", "shifted_lognormal")
 _SCALED_T_TOKEN = re.compile(r"^scaled_t\((\d+)\)$")
@@ -353,8 +349,9 @@ def _arm(scenario, x_sub, y_sub, moments, first):
 
     x_sub and y_sub are the block's selected rows, first the replicate
     index of its first row and moments the block's full-response (mean,
-    variance), which only the odeb arm reads. A fit or a response
-    variance beyond double range raises DomainError. The two-sided t
+    variance), which only the odeb arm reads. A fit, an odeb estimate or
+    a response variance beyond double range raises DomainError, and a
+    subset too small for the estimator InsufficientData. The two-sided t
     point is solved on the lower tail from alpha_level, so a tiny
     alpha_level keeps its digits. A row rejects the null when |t|
     reaches that point, which is p <= alpha_level for the slope test's
@@ -363,7 +360,7 @@ def _arm(scenario, x_sub, y_sub, moments, first):
     if scenario.estimator == "ols":
         fit = regress.fit_rows(x_sub, y_sub)
         est, se, kept = fit.slope, fit.se_slope, ~fit.degenerate
-        overflow = fit.overflow
+        overflow, reason = fit.overflow, regress.FIT_OVERFLOW
     else:
         mean_y, var_y = moments
         finite = np.isfinite(var_y)
@@ -372,18 +369,15 @@ def _arm(scenario, x_sub, y_sub, moments, first):
                 first + int(np.argmin(finite)),
                 "full response variance is beyond double range",
             )
-        try:
-            rows = odeb.estimate_rows(
-                y_sub, x_sub, mean_y, var_y, scenario.n_full
-            )
-        except InsufficientData:
-            return (np.empty(0),) * 4
+        rows = odeb.estimate_rows(y_sub, x_sub, mean_y, var_y, scenario.n_full)
         fit = rows.reverse_fit
         est, se, kept = rows.beta_y, rows.se_beta_y, rows.kept
         overflow = rows.overflow
     if overflow.any():
         row = int(np.argmax(overflow))
-        raise _beyond_range(first + row, regress.FIT_OVERFLOW)
+        if scenario.estimator == "odeb":
+            reason = odeb.drop_reasons(rows)[row][1]
+        raise _beyond_range(first + row, reason)
     est, se = est[kept], se[kept]
     t_point = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2)
     # an interval beyond double range is infinite, which _metrics rejects
@@ -453,8 +447,9 @@ def _run_group(scenarios):
     its random subsets once per n_selected; its y and response moments
     are formed once per effect, and each subset once per effect. A y
     beyond double range stops every scenario of that effect. Each
-    stream's keys are derived once for the whole group, and one
-    generator, re-keyed row by row, draws both streams.
+    stream's keys are derived once for the whole group, stream 1's only
+    when a scenario samples at random, and one generator, re-keyed row
+    by row, draws both streams.
     """
     outcomes = [None] * len(scenarios)
     parts = {}  # running scenario -> its blocks' _arm results
@@ -475,7 +470,8 @@ def _run_group(scenarios):
     rng = _keyed_generator()
     replicates = np.arange(data.replicates)
     keys = _philox_keys(data.seed, replicates, 0)
-    random_keys = _philox_keys(data.seed, replicates, 1)
+    if any(scenarios[i].sampling == "random" for i in parts):
+        random_keys = _philox_keys(data.seed, replicates, 1)
     n = data.n_full
     rows = max(1, _BLOCK_ELEMENTS // n)
     for first in range(0, data.replicates, rows):

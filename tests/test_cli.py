@@ -717,6 +717,22 @@ def test_conversion_overflow_rejected(tmp_path, capsys, study):
         assert "beyond double range" in row[8]
 
 
+def test_conversion_overflow_names_the_forward_estimate(tmp_path, capsys):
+    # the reverse fit of the tiny-response study is finite; its
+    # conversion once got the fit's overflow verdict
+    path = tmp_path / "study.csv"
+    _tiny_response_study(path)
+    verdict = "forward estimate, SE or interval beyond double range"
+    assert main(["analyze", "--input", str(path), "--response", "resp",
+                 "--biomarker", "bm"]) == 2
+    assert capsys.readouterr().err == f"error: {verdict}\n"
+    out = tmp_path / "screen.csv"
+    assert main(["screen", "--input", str(path), "--response", "resp",
+                 "--out", str(out)]) == 0
+    (row,) = _read_csv(out)[1:]
+    assert row[8] == verdict
+
+
 def test_simulate_conversion_overflow_fails_the_cell(tmp_path):
     # the cell once reported mean_estimate 0.0 and all 20 replicates used
     cfg = tmp_path / "tiny.cfg"

@@ -314,3 +314,14 @@ def test_min_nfull_monotone_in_target():
 def test_min_nfull_infeasible_null_effect():
     with pytest.raises(Infeasible):
         min_nfull_for_power(0.2, 0.0, 0.05, 0.90)
+
+
+def test_planners_answer_only_designs_the_estimator_takes():
+    # a huge effect meets the target at 3 selected rows, which
+    # odeb.estimate refuses; the search answers the first 4-row design
+    n_full = min_nfull_for_power(0.1, 5.0, 0.05, 0.8)
+    assert n_full == 35
+    assert DesignSpec(n_full, 0.1, 5.0, 0.05).n_selected == 4
+    assert power_eods(DesignSpec(25, 0.1, 5.0, 0.05)).power >= 0.8
+    # the smallest even subset the gamma search tries is 4 rows
+    assert min_gamma_for_power(200, 5.0, 0.05, 0.8)[1] == 4

@@ -274,6 +274,53 @@ def test_slope_ceiling_rejects_a_breach():
     )
 
 
+def test_drop_verdicts_in_order():
+    # one row per verdict, each the first check its row fails, then a
+    # kept row. Row 3's exact zero-slope fit also collapses the slope
+    # variance, and the conversion's verdict wins. Row 4's residual
+    # variance over var_y underflows to 0 beside a zero slope
+    responses = np.array([
+        [1.0, 1.0, 1.0, 1.0],
+        [-2.0, -1.0, 1.0, 2.0],
+        [-2e-150, -1e-150, 1e-150, 2e-150],
+        [-2.0, -1.0, 1.0, 2.0],
+        [-1.0, -1.0, 1.0, 1.0],
+        [-2.0, -1.0, 1.0, 2.0],
+    ])
+    biomarkers = np.array([
+        [1.0, 2.0, 3.0, 4.0],
+        [1e300, -1e300, 1e300, -1e300],
+        [-2.0, -1.0, 1.0, 2.5],
+        [3.0, 3.0, 3.0, 3.0],
+        [1e-150, -1e-150, 1e-150, -1e-150],
+        [-1.9, -1.2, 0.8, 2.1],
+    ])
+    var_y = np.array([1.0, 1.0, 1e10, 1.0, 1e30, 1.0])
+    rows = odeb.estimate_rows(responses, biomarkers, 0.0, var_y, 100)
+    want = [
+        (DegenerateInput, regress.ZERO_PREDICTOR_VARIANCE),
+        (DomainError, regress.FIT_OVERFLOW),
+        (DomainError, "forward estimate, SE or interval beyond double range"),
+        (DegenerateInput, odeb._CONVERSION_UNDEFINED),
+        (DegenerateInput, odeb._SLOPE_VARIANCE_COLLAPSED),
+        None,
+    ]
+    assert rows.kept.tolist() == [False] * 5 + [True]
+    assert not rows.se_defined[3]
+    assert odeb.drop_reasons(rows) == want
+    for x, y, v, reason in zip(biomarkers, responses, var_y, want):
+        subset = odeb.SelectedSubset.from_arrays(x, y, 0.04)
+        full = odeb.FullResponseSummary(100, 0.0, float(v))
+        if reason is None:
+            assert odeb.estimate(subset, full).beta_y == rows.beta_y[5]
+            continue
+        error, text = reason
+        with pytest.raises(error) as info:
+            odeb.estimate(subset, full)
+        assert type(info.value) is error
+        assert str(info.value) == text
+
+
 def test_estimate_rows_flag_a_conversion_beyond_double_range():
     # responses near 1e-155 give the second biomarker a reverse slope
     # near 1e155: the fit's sums stay finite, but the slope's square in
@@ -288,7 +335,10 @@ def test_estimate_rows_flag_a_conversion_beyond_double_range():
     assert not rows.reverse_fit.overflow.any()
     assert rows.overflow.tolist() == [False, True]
     assert rows.kept.tolist() == [True, False]
-    assert odeb.drop_reasons(rows) == [None, regress.FIT_OVERFLOW]
+    assert odeb.drop_reasons(rows) == [
+        None,
+        (DomainError, "forward estimate, SE or interval beyond double range"),
+    ]
     with pytest.raises(DomainError, match="beyond double range"):
         odeb.estimate(
             odeb.SelectedSubset.from_arrays(base, y, 1.0),

@@ -278,13 +278,10 @@ def test_run_scenario_random_sampling_unbiased():
 
 
 def test_run_scenario_all_replicates_dropped():
-    # 3 selected rows cannot support the reverse-fit estimator
-    m = sim.run_scenario(
-        _scenario(n_full=15, gamma=0.2, replicates=20)
-    )
-    assert m.replicates_used == 0
-    assert math.isnan(m.mean_estimate)
-    assert math.isnan(m.rejection_rate)
+    # 3 selected rows are too few for the reverse-fit estimator, and the
+    # scenario fails naming that
+    with pytest.raises(InsufficientData, match="at least 4 selected pairs"):
+        sim.run_scenario(_scenario(n_full=15, gamma=0.2, replicates=20))
 
 
 def test_run_scenario_too_few_selected_rejected():
@@ -588,13 +585,14 @@ def test_run_grid_groups_shared_data_in_input_order():
 
 
 def test_drops_are_per_scenario_within_a_group():
-    # 3 selected rows drop every odeb replicate; the ols arm on the same
-    # data keeps them all
+    # 3 selected rows fail the odeb cell; the ols arm on the same data
+    # keeps every replicate
     odeb_arm = _scenario(n_full=15, gamma=0.2, replicates=20)
     ols_arm = _scenario(n_full=15, gamma=0.2, replicates=20, estimator="ols")
     rows = sim.run_grid([odeb_arm, ols_arm])
-    assert [r.error for r in rows] == [None, None]
-    assert rows[0].metrics.replicates_used == 0
+    assert rows[0].metrics is None
+    assert "need at least 4 selected pairs" in rows[0].error
+    assert rows[1].error is None
     assert rows[1].metrics.replicates_used == 20
     assert rows[1].metrics == sim.run_scenario(ols_arm)
 
