@@ -35,9 +35,9 @@ from .errors import (
 )
 
 _MISSING_TOKENS = ("", "NA")
-# Cells (rows x picked columns) the loader holds and checks at a time. A
-# block bounds the cell text and Python floats held beside the parsed
-# arrays; 2^16 raised the peak memory of a 20000-row load by about 1 MiB.
+# Cells (rows x picked columns) the loader holds as text and converts at
+# a time. A block bounds the cell text and Python floats held beside the
+# table; 2^16 raised the peak memory of a 20000-row load by about 1 MiB.
 _BLOCK_VALUES = 2**14
 
 
@@ -147,16 +147,16 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
             if name not in position:
                 raise SchemaError(f"{path}: missing column {name!r}")
         try:
-            blocks = _read_blocks(reader, len(header), columns, position)
+            table = _read_blocks(reader, len(header), columns, position)
         except UnicodeDecodeError:
             raise FileError(_not_utf8(path)) from None
-    if not blocks:
+    if not len(table):
         raise SchemaError(f"{path}: no data rows")
-    # one (columns, rows) matrix: the responses, then one contiguous row
-    # per biomarker
-    table = np.concatenate([block.T for block in blocks], axis=1)
-    responses = table[0]
-    biomarkers = dict(zip(columns[1:], table[1:]))
+    # views of the one table, column by column: the responses, then each
+    # biomarker
+    by_column = table.T
+    responses = by_column[0]
+    biomarkers = dict(zip(columns[1:], by_column[1:]))
     if log10:
         for name, column in biomarkers.items():
             _log10_in_place(column, name)
@@ -164,33 +164,48 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
 
 
 def _read_blocks(reader, width, columns, position):
-    """The data rows as (rows, len(columns)) float64 blocks, NaN = missing.
+    """The data rows as one (rows, len(columns)) float64 table, NaN = missing.
 
-    Each block holds the picked cell text of about _BLOCK_VALUES cells
-    until _convert_block converts it. A row of the wrong width raises
-    after the block's earlier rows are parsed, so the first error in
-    file order is the one raised.
+    Rows are read in blocks of about _BLOCK_VALUES picked cells, and
+    _convert_block writes each block's cell text straight into its rows
+    of the table. A row of the wrong width raises after the block's
+    earlier rows are parsed, so the first error in file order is the one
+    raised.
     """
     pick = operator.itemgetter(*[position[name] for name in columns])
     block_rows = -(-_BLOCK_VALUES // len(columns))
     numbered = enumerate(reader, start=2)  # the header is line 1
-    blocks = []
-    for first_line in itertools.count(2, block_rows):
+    table = np.empty((block_rows, len(columns)))
+    n_rows = 0
+    while True:
         held = []
         for line_no, row in itertools.islice(numbered, block_rows):
             if len(row) != width:
-                _parse_rows(held, first_line, columns)
+                _parse_rows(held, n_rows + 2, columns)
                 raise SchemaError(
                     f"line {line_no}: expected {width} fields, got {len(row)}"
                 )
             held.append(pick(row))
         if not held:
-            return blocks
-        blocks.append(_convert_block(held, first_line, columns))
+            break
+        end = n_rows + len(held)
+        if end > len(table):
+            # ndarray.resize is realloc, which glibc serves for a large
+            # table by mremap, so the old and new buffers are never both
+            # resident. It zero-fills the new rows, so growing by a
+            # quarter bounds the unused rows held to a quarter of the
+            # table. Skipping the reference check is safe only because no
+            # view of the table is alive between blocks
+            grown = max(end, len(table) + len(table) // 4)
+            table.resize((grown, len(columns)), refcheck=False)
+        _convert_block(held, n_rows + 2, columns, table[n_rows:end])
+        n_rows = end
+    table.resize((n_rows, len(columns)), refcheck=False)  # the trim
+    return table
 
 
-def _convert_block(held, first_line, columns):
-    """held's rows, from line first_line on, as one float64 block.
+def _convert_block(held, first_line, columns, out):
+    """Write held's rows, from line first_line on, into the float64 rows out.
 
     A row's count of empty cells sorts it. An untested row, every
     biomarker cell empty, converts only its response, so its biomarker
@@ -198,7 +213,7 @@ def _convert_block(held, first_line, columns):
     in one map(float); any other row goes cell by cell. A failed
     float(), a non-finite value that is not one of the missing tokens
     or a missing response sends the whole block once through
-    _parse_rows, which raises the first error in file order, or returns
+    _parse_rows, which raises the first error in file order, or writes
     the values when the cause was a padded token such as " NA".
     """
     width = len(columns)
@@ -206,9 +221,8 @@ def _convert_block(held, first_line, columns):
     nan = math.nan
     empty, na = missing = _MISSING_TOKENS
     # the untested rows' indices and responses; the other rows' indices
-    # and values, row after row. Allocating the block before these grow,
-    # or extending values by a bare map, each raised the peak memory of
-    # a 2000-column screen by about 3 MiB
+    # and values, row after row. Extending values by a bare map raised
+    # the peak memory of a 2000-column screen by about 3 MiB
     untested, responses, converted, values = [], [], [], []
     n_missing = 0
     try:
@@ -228,16 +242,16 @@ def _convert_block(held, first_line, columns):
     except ValueError:
         pass  # a padded token, or an error that _parse_rows names
     else:
-        block = np.full((len(held), width), nan)
-        block[untested, 0] = responses
+        out[untested, 1:] = nan
+        out[untested, 0] = responses
         rows = np.fromiter(values, float, len(values))
-        block[converted] = rows.reshape(-1, width)
+        out[converted] = rows.reshape(-1, width)
         # every non-finite value must come from one of the n_missing
         # missing tokens, and no response may be missing
-        non_finite = block.size - np.count_nonzero(np.isfinite(block))
-        if non_finite == n_missing and not np.isnan(block[:, 0]).any():
-            return block
-    return np.reshape(_parse_rows(held, first_line, columns), (-1, width))
+        non_finite = out.size - np.count_nonzero(np.isfinite(out))
+        if non_finite == n_missing and not np.isnan(out[:, 0]).any():
+            return
+    out[:] = np.reshape(_parse_rows(held, first_line, columns), (-1, width))
 
 
 def _log10_in_place(column, biomarker_id):

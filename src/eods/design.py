@@ -53,7 +53,13 @@ class DesignSpec:
         check_gamma(self.gamma)
         _check_effect_f(self.effect_f)
         check_alpha(self.alpha)
-        selected_count(self.gamma, self.n_full)
+        n_selected = selected_count(self.gamma, self.n_full)
+        if n_selected < MIN_ESTIMATE_PAIRS:
+            raise DomainError(
+                f"gamma {self.gamma!r} selects only {n_selected} of "
+                f"{self.n_full} rows; the estimator needs at least "
+                f"{MIN_ESTIMATE_PAIRS}"
+            )
 
     @property
     def n_selected(self):

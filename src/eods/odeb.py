@@ -110,10 +110,11 @@ _CONVERSION_UNDEFINED = (
     "reverse fit is deterministic with zero slope; conversion undefined"
 )
 _SLOPE_VARIANCE_COLLAPSED = "collapsed denominator in the slope variance"
+_FORWARD_OVERFLOW = "forward estimate, SE or interval beyond double range"
 # (error type, text) per flag drop_reasons reads, in the order it reads them
 _DROP_VERDICTS = (
     *regress.FIT_VERDICTS,
-    (DomainError, "forward estimate, SE or interval beyond double range"),
+    (DomainError, _FORWARD_OVERFLOW),
     (DegenerateInput, _CONVERSION_UNDEFINED),
     (DegenerateInput, _SLOPE_VARIANCE_COLLAPSED),
 )
@@ -157,7 +158,7 @@ def convert_reverse_to_forward(beta_x, alpha_x, sigma2_eps_x, mean_y, var_y):
     if not defined:
         raise DegenerateInput(_CONVERSION_UNDEFINED)
     if not finite:
-        raise DomainError("forward parameters beyond double range")
+        raise DomainError(_FORWARD_OVERFLOW)
     return float(beta_y), float(alpha_y), float(sigma2_eps_y)
 
 
@@ -196,8 +197,8 @@ def se_beta_y(beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, 
     the slope and 2 sigma^4 / df for each variance estimate, df being
     n_selected - 2 and n_full - 1 respectively.
     """
-    if n_selected < 3:
-        raise DomainError("n_selected must be at least 3")
+    if n_selected < MIN_ESTIMATE_PAIRS:
+        raise DomainError(f"n_selected must be at least {MIN_ESTIMATE_PAIRS}")
     if n_full < 2:
         raise DomainError("n_full must be at least 2")
     if not var_y_tilde > 0.0:

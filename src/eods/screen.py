@@ -8,7 +8,13 @@ import numpy as np
 
 from . import odeb, regress
 from ._util import check_gamma, selected_count, whole_number
-from .errors import DegenerateInput, DomainError, InsufficientData
+from .errors import DomainError, InsufficientData
+
+# The most columns of one tested-row mask fit at a time. A row's fit
+# depends on no other row, so the chunks keep every bit. They bound the
+# fit's (columns, tested rows) temporaries: fit at once, a 2000-column
+# mask's added about as much memory as the loaded study.
+_FIT_COLUMNS = 256
 
 
 @dataclass
@@ -195,7 +201,7 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
     vector aligned with it row for row, NaN where that biomarker was not
     tested; each biomarker is fit on its own tested rows, and the
     columns tested on the same rows are fit together, one
-    odeb.estimate_rows call per tested-row mask; each successful
+    odeb.estimate_rows call per _FIT_COLUMNS of them; each successful
     column's p-value is one regress.slope_p_value call. Per-biomarker
     estimation failures flag the row and the batch keeps going; rows
     are sorted by ascending p-value (failed rows last, ties by
@@ -219,40 +225,40 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
     rows = [None] * len(columns)
     for tested, positions in tested_groups(columns):
         inside = rows_inside(y, tested)
-        try:
-            if np.count_nonzero(tested) < 3:
-                raise DegenerateInput(regress.TOO_FEW_PAIRS)
-            block = np.stack([columns[i][tested] for i in positions])
-            est = odeb.estimate_rows(
-                y[tested],
-                block,
-                full.mean_y,
-                full.var_y,
-                full.n_full,
-                confidence_level,
-            )
-        except (DegenerateInput, InsufficientData) as exc:
-            reasons = [str(exc)] * len(positions)
-            values = [None] * len(positions)
-        else:
-            reasons = [r and r[1] for r in odeb.drop_reasons(est)]
-            values = zip(
-                est.beta_y.tolist(),
-                est.se_beta_y.tolist(),
-                est.ci_low.tolist(),
-                est.ci_high.tolist(),
-                est.reverse_fit.t_stat.tolist(),
-            )
-        for i, reason, value in zip(positions, reasons, values):
-            if reason is None:
-                *fit, t = value
-                p_value = regress.slope_p_value(t, est.reverse_fit.df)
+        y_tested = y[tested]
+        for start in range(0, len(positions), _FIT_COLUMNS):
+            chunk = positions[start : start + _FIT_COLUMNS]
+            try:
+                est = odeb.estimate_rows(
+                    y_tested,
+                    np.stack([columns[i][tested] for i in chunk]),
+                    full.mean_y,
+                    full.var_y,
+                    full.n_full,
+                    confidence_level,
+                )
+            except InsufficientData as exc:  # too few tested rows
+                reasons = [str(exc)] * len(chunk)
+                values = [None] * len(chunk)
             else:
-                fit, p_value = [math.nan] * 4, math.nan
-            rows[i] = ScreenRow(
-                names[i], *fit, p_value, math.nan, rank=0, error=reason,
-                rows_inside=inside,
-            )
+                reasons = [r and r[1] for r in odeb.drop_reasons(est)]
+                values = zip(
+                    est.beta_y.tolist(),
+                    est.se_beta_y.tolist(),
+                    est.ci_low.tolist(),
+                    est.ci_high.tolist(),
+                    est.reverse_fit.t_stat.tolist(),
+                )
+            for i, reason, value in zip(chunk, reasons, values):
+                if reason is None:
+                    *fit, t = value
+                    p_value = regress.slope_p_value(t, est.reverse_fit.df)
+                else:
+                    fit, p_value = [math.nan] * 4, math.nan
+                rows[i] = ScreenRow(
+                    names[i], *fit, p_value, math.nan, rank=0, error=reason,
+                    rows_inside=inside,
+                )
 
     tests = [row for row in rows if row.error is None]
     for row, q_value in zip(tests, bh_adjust([r.p_value for r in tests])):

@@ -610,6 +610,112 @@ def test_loader_error_before_a_padded_row_reported_first(tmp_path):
         cli._load_study(str(path), "resp")
 
 
+def _grown_study(path, n_rows, width):
+    """A study of every row kind over n_rows rows and `width` biomarkers.
+
+    Rows cycle through complete, untested (every biomarker cell empty),
+    mixed empty and NA, and all-NA biomarker cells; every 50th row from
+    row 7 on pads its missing cells as " NA", which float() rejects.
+    Returns the rows as written, the response first.
+    """
+    rng = np.random.default_rng(8)
+    table = []
+    for i in range(n_rows):
+        values = [repr(v) for v in rng.normal(size=width).tolist()]
+        kind = i % 4
+        if kind == 1:
+            values = [""] * width
+        elif kind == 2:
+            values = [v if j % 3 else ("", "NA")[j % 2] for j, v in
+                      enumerate(values)]
+        elif kind == 3:
+            values = ["NA"] * width
+        if i % 50 == 7:
+            values = [" NA" if v in ("", "NA") else v for v in values]
+        if kind == 0:
+            values[i % width] = "-0.0"
+        table.append([repr(float(i) - 0.5), *values])
+    columns = ["resp"] + [f"bm{j:03d}" for j in range(width)]
+    _write_study(
+        path, [[f"r{i}", *cells] for i, cells in enumerate(table)],
+        header=["id", *columns],
+    )
+    return table, columns
+
+
+def test_loader_table_matches_a_plain_csv_reference(tmp_path):
+    # enough rows to cross block edges and several growth steps of the
+    # table; every array must hold the csv module's text through float()
+    # bit for bit, and all of them must be views of one table
+    width = 37
+    block_rows = -(-cli._BLOCK_VALUES // (width + 1))
+    table, columns = _grown_study(tmp_path / "grown.csv", 9 * block_rows + 5,
+                                  width)
+
+    def reference(cell):
+        return math.nan if cell.strip() in ("", "NA") else float(cell)
+
+    want = np.array([[reference(c) for c in row] for row in table])
+    responses, biomarkers = cli._load_study(str(tmp_path / "grown.csv"),
+                                            "resp")
+    assert list(biomarkers) == columns[1:]
+    got = [responses, *biomarkers.values()]
+    for j, column in enumerate(got):
+        assert column.tobytes() == want[:, j].tobytes(), columns[j]
+    base = responses.base
+    assert base is not None and base.shape == want.shape
+    assert all(column.base is base for column in got)
+
+
+@pytest.mark.parametrize("fault", ["cell", "width"])
+def test_loader_reports_a_late_block_error_at_its_line(tmp_path, fault):
+    width = 37
+    block_rows = -(-cli._BLOCK_VALUES // (width + 1))
+    row = 8 * block_rows + 3
+    path = tmp_path / "late.csv"
+    table, _ = _grown_study(path, 9 * block_rows + 5, width)
+    lines = path.read_text().splitlines(keepends=True)
+    if fault == "cell":
+        table[row][13] = "1.0x"
+        match = (
+            f"line {row + 2}, column 'bm012': cannot parse '1.0x' as a number"
+        )
+    else:
+        table[row].append("1.0")
+        match = f"line {row + 2}: expected {width + 2} fields, got {width + 3}"
+    lines[row + 1] = ",".join([f"r{row}", *table[row]]) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError) as got:
+        cli._load_study(str(path), "resp")
+    assert str(got.value) == match
+
+
+def test_loader_log10_transforms_through_the_column_views(tmp_path):
+    # --log10 writes each tested value's math.log10 into the shared
+    # table; the responses and the untested cells stay as read
+    width = 11
+    block_rows = -(-cli._BLOCK_VALUES // (width + 1))
+    n_rows = 3 * block_rows + 1
+    rng = np.random.default_rng(4)
+    raw = rng.uniform(0.01, 100.0, size=(n_rows, width))
+    raw[1::3] = math.nan
+    rows = [
+        [f"r{i}", repr(0.25 * i), *("" if math.isnan(v) else repr(v)
+                                    for v in raw[i].tolist())]
+        for i in range(n_rows)
+    ]
+    path = tmp_path / "log10.csv"
+    columns = [f"bm{j:02d}" for j in range(width)]
+    _write_study(path, rows, header=["id", "resp", *columns])
+    responses, biomarkers = cli._load_study(str(path), "resp", log10=True)
+    assert responses.tolist() == [0.25 * i for i in range(n_rows)]
+    for j, name in enumerate(columns):
+        want = [math.nan if math.isnan(v) else math.log10(v)
+                for v in raw[:, j].tolist()]
+        assert biomarkers[name].tobytes() == np.array(want).tobytes()
+        assert biomarkers[name].base is responses.base
+
+
 @pytest.mark.parametrize("command", ["analyze", "screen", "check"])
 def test_response_variance_overflow_rejected(tmp_path, capsys, command):
     # the suite turns RuntimeWarning into an error, so none may leak
@@ -885,6 +991,18 @@ def test_plan_argument_validation(capsys):
     )
     assert "gamma 0.2 selects only 2 of 10 rows; need 3" in (
         capsys.readouterr().err
+    )
+
+    # three selected subjects: a design the estimator refuses
+    assert (
+        main(["plan", "--n-full", "25", "--gamma", "0.1", "--effect-f", "5"])
+        == 2
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: gamma 0.1 selects only 3 of 25 rows; the estimator needs "
+        "at least 4\n"
     )
 
 
@@ -1227,6 +1345,62 @@ def test_screen_reads_input_once(tmp_path, monkeypatch):
     )
     assert code == 0
     assert opened.count(GOLDEN_STUDY) == 1
+
+
+# Runs one eods command and prints its exit code and how far the peak
+# resident set rose above the one after import, in bytes
+_PEAK_CHILD = """
+import sys
+
+from eods import cli
+
+
+def high_water_mark():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+
+base = high_water_mark()
+code = cli.main(sys.argv[1:])
+print(code, high_water_mark() - base)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_screen_peak_memory_holds_the_study_once(tmp_path):
+    # a wide study tested on its response tails, as a screen's input is.
+    # The loaded table is n_rows x (width + 1) doubles. Holding it twice,
+    # as a list of blocks beside their concatenation, rose 2.3-2.6 times
+    # its size; one table grown in place rises about 1.4 times
+    n_rows, width = 1000, 2000
+    rng = np.random.default_rng(21)
+    y = rng.normal(10.0, 3.0, size=n_rows)
+    order = np.argsort(y)
+    tested = set(order[:100].tolist()) | set(order[-100:].tolist())
+    path = tmp_path / "wide.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        names = (f"bm{j:04d}" for j in range(width))
+        fh.write(",".join(["id", "resp", *names]) + "\n")
+        for i, v in enumerate(y.tolist()):
+            cells = "," * width
+            if i in tested:
+                values = np.round(rng.normal(size=width), 6).tolist()
+                cells = "," + ",".join(map(repr, values))
+            fh.write(f"r{i},{v!r}{cells}\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, "screen", "--input", str(path),
+         "--response", "resp", "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, grown = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    table_bytes = n_rows * (width + 1) * 8
+    assert int(grown) < 1.75 * table_bytes
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity"])

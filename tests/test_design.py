@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from eods import design
-from eods._util import round_half_away_from_zero
+from eods._util import MIN_ESTIMATE_PAIRS, round_half_away_from_zero
 from eods.design import (
     DesignSpec,
     cohen_f2,
@@ -175,6 +175,15 @@ def test_design_spec_validation():
         power_full(10.5, 0.3, 0.05)
 
 
+def test_design_spec_refuses_a_selection_the_estimator_cannot_fit():
+    with pytest.raises(
+        DomainError,
+        match="selects only 3 of 25 rows; the estimator needs at least 4",
+    ):
+        DesignSpec(25, 0.1, 5.0, 0.05)
+    assert DesignSpec(40, 0.1, 5.0, 0.05).n_selected == 4
+
+
 def test_min_gamma_reference_search():
     gamma, n_selected, achieved = min_gamma_for_power(200, 0.3, 0.05, 0.90)
     assert n_selected == REF_MIN_GAMMA_200[1]
@@ -243,7 +252,7 @@ def test_power_eods_monotone_in_even_selection_and_n_full():
             powers = [
                 power_eods(DesignSpec(n, gamma, f, alpha)).power
                 for n in range(5, 301)
-                if round_half_away_from_zero(gamma * n) >= 3
+                if round_half_away_from_zero(gamma * n) >= MIN_ESTIMATE_PAIRS
             ]
             assert all(b >= a for a, b in zip(powers, powers[1:])), (gamma, f)
 
@@ -322,6 +331,10 @@ def test_planners_answer_only_designs_the_estimator_takes():
     n_full = min_nfull_for_power(0.1, 5.0, 0.05, 0.8)
     assert n_full == 35
     assert DesignSpec(n_full, 0.1, 5.0, 0.05).n_selected == 4
-    assert power_eods(DesignSpec(25, 0.1, 5.0, 0.05)).power >= 0.8
+    # the 3-row design at n_full 25 would meet it, and no spec takes it
+    ncp = 25 * 5.0**2 * 0.1 * design.variance_inflation(0.1)
+    assert design._slope_test_power(0.05, 1, ncp) >= 0.8
+    with pytest.raises(DomainError, match="the estimator needs at least 4"):
+        DesignSpec(25, 0.1, 5.0, 0.05)
     # the smallest even subset the gamma search tries is 4 rows
     assert min_gamma_for_power(200, 5.0, 0.05, 0.8)[1] == 4

@@ -338,13 +338,14 @@ def test_ncf_huge_ncp_is_zero_or_refused():
 
 
 def test_ncf_upward_sweep_reaches_the_poisson_tail():
-    # eods plan --n-full 15 --gamma 0.2 --effect-f 20000 --alpha 1e-5:
-    # ncp 3.9e9 at df2 1, where the upward sweep needs about 3e5 terms
-    # and once stopped at 1e5, 3.9e-3 short of SciPy
-    result = design.power_eods(design.DesignSpec(15, 0.2, 20000.0, 1e-5))
+    # the power of 3 selected rows at n_full 15, gamma 0.2, effect_f
+    # 20000 and alpha 1e-5: ncp 3.9e9 at df2 1, where the upward sweep
+    # needs about 3e5 terms and once stopped at 1e5, 3.9e-3 short of SciPy
+    ncp = 15 * 20000.0**2 * 0.2 * design.variance_inflation(0.2)
+    power = design._slope_test_power(1e-5, 1, ncp)
     crit = dist.t_quantile(1e-5 / 2.0, 1) ** 2
-    want = scipy.stats.ncf.sf(crit, 1, 1, result.ncp)
-    assert abs(result.power - want) < 1e-5, (result.power, want)
+    want = scipy.stats.ncf.sf(crit, 1, 1, ncp)
+    assert abs(power - want) < 1e-5, (power, want)
     # at ncp 1e5 and 1e6, 1 - cum_w stays near 1e-10, above the 1e-12
     # tail, so the sweep must end on its bound and not reach the cap
     for ncp in (1e5, 1e6):

@@ -44,7 +44,11 @@ def test_conversion_errors():
     with pytest.raises(DomainError):
         odeb.convert_reverse_to_forward(0.2, 0.5, 1.0, 1.0, 0.0)
     # the squared slope leaves double range, which once gave beta_y 0.0
-    with pytest.raises(DomainError, match="beyond double range"):
+    # named as estimate() names the same conversion
+    with pytest.raises(
+        DomainError,
+        match="^forward estimate, SE or interval beyond double range$",
+    ):
         odeb.convert_reverse_to_forward(np.float64(1e155), 0.5, 1.0, 1.0, 4.0)
 
 
@@ -90,6 +94,11 @@ def test_se_guards():
         odeb.se_beta_y(0.1, 0.05, 2.0, 0.0, 30, 100)
     with pytest.raises(DomainError):
         odeb.se_beta_y(0.1, 0.05, 2.0, 4.0, 2, 100)
+    # estimate_rows refuses fewer than four selected pairs, and so does
+    # the scalar helper
+    with pytest.raises(DomainError, match="n_selected must be at least 4"):
+        odeb.se_beta_y(0.3, 0.05, 2.0, 4.0, 3, 100)
+    assert odeb.se_beta_y(0.3, 0.05, 2.0, 4.0, 4, 100) > 0.0
     with pytest.raises(DegenerateInput):
         odeb.se_beta_y(0.0, 0.05, 0.0, 4.0, 30, 100)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eods import dist, odeb, screen
+from eods._util import MIN_ESTIMATE_PAIRS
 from eods.errors import DegenerateInput, DomainError, InsufficientData
 
 TOL_EXACT = 1e-12
@@ -306,8 +307,7 @@ def test_screen_null_family_wise_error_controlled():
 def _mask_fixture():
     """Columns on several tested-row masks, with every per-column failure.
 
-    Returns (y, table, n_masks): n_masks counts the distinct masks with
-    at least 3 tested rows.
+    Returns (y, table, n_masks): n_masks counts the distinct masks.
     """
     rng = np.random.default_rng(31)
     n_full = 200
@@ -341,8 +341,8 @@ def _mask_fixture():
     table["bm_gappy_b1"] = _tested_only(
         n_full, gappy_b, rng.normal(size=gappy_b.size)
     )
-    # tails, gappy_a, gappy_b, tails[:3], [5, 6, 7, 8]
-    return y, table, 5
+    # tails, gappy_a, gappy_b, tails[:3], [5, 6, 7, 8], tails[:2], none
+    return y, table, 7
 
 
 def test_screen_batched_fits_equal_per_column_estimate():
@@ -352,7 +352,15 @@ def test_screen_batched_fits_equal_per_column_estimate():
     p_ok = []
     for biomarker_id, column in table.items():
         row = rows[biomarker_id]
+        tested = ~np.isnan(column)
         try:
+            if np.count_nonzero(tested) < MIN_ESTIMATE_PAIRS:
+                # the estimator's refusal, which a subset of 0-2 pairs
+                # would pre-empt with its own
+                odeb.estimate_rows(
+                    y[tested], column[tested], full.mean_y, full.var_y,
+                    full.n_full,
+                )
             subset = odeb.SelectedSubset.from_tested(y, column)
             est = odeb.estimate(subset, full)
         except (DegenerateInput, InsufficientData) as exc:
@@ -378,8 +386,8 @@ def test_screen_batched_fits_equal_per_column_estimate():
         ),
         "bm_three": "need at least 4 selected pairs for variance inference",
         "bm_tied_y": "predictor has zero sample variance",
-        "bm_two": "need at least 3 paired observations",
-        "bm_empty": "need at least 3 paired observations",
+        "bm_two": "need at least 4 selected pairs for variance inference",
+        "bm_empty": "need at least 4 selected pairs for variance inference",
     }
     assert 0.0 < rows["bm_tiny"].se * 1e-100 < math.inf
     for biomarker_id, column in table.items():
@@ -447,3 +455,49 @@ def test_tested_groups_in_order_of_first_appearance():
     for tested, positions in groups:
         for i in positions:
             assert np.array_equal(tested, ~np.isnan(table[names[i]]))
+
+
+def test_screen_fits_a_wide_mask_in_chunks_bit_for_bit(monkeypatch):
+    # one mask of two full chunks and a partial one; constant columns on
+    # either side of the first chunk edge fail without moving their
+    # neighbours' results
+    rng = np.random.default_rng(17)
+    n_full = 150
+    y = rng.normal(10.0, 3.0, size=n_full)
+    order = np.argsort(y)
+    tails = np.concatenate([order[:15], order[-15:]])
+    width = 2 * screen._FIT_COLUMNS + 88
+    table = {
+        f"bm{j:03d}": _tested_only(
+            n_full, tails, 0.05 * (j % 7) * y[tails] + rng.normal(size=30)
+        )
+        for j in range(width)
+    }
+    edge = screen._FIT_COLUMNS
+    for j in (edge - 1, edge):
+        table[f"bm{j:03d}"] = _tested_only(n_full, tails, 1.5)
+    calls = []
+    estimate_rows = odeb.estimate_rows
+
+    def counting(responses, biomarkers, *args):
+        calls.append(np.shape(biomarkers))
+        return estimate_rows(responses, biomarkers, *args)
+
+    monkeypatch.setattr(odeb, "estimate_rows", counting)
+    rows = {r.biomarker_id: r for r in screen.screen_biomarkers(y, table)}
+    assert calls == [(edge, 30), (edge, 30), (88, 30)]
+    full = odeb.FullResponseSummary.from_responses(y)
+    for biomarker_id, column in table.items():
+        row = rows[biomarker_id]
+        subset = odeb.SelectedSubset.from_tested(y, column)
+        try:
+            est = odeb.estimate(subset, full)
+        except DegenerateInput as exc:
+            assert row.error == str(exc)
+            continue
+        assert row.error is None
+        got = (row.estimate, row.se, row.ci_low, row.ci_high, row.p_value)
+        assert got == (
+            est.beta_y, est.se_beta_y, est.ci_low, est.ci_high, est.p_value
+        )
+    assert sum(row.error is not None for row in rows.values()) == 2
