@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .errors import (
 
 _MISSING_TOKENS = ("", "NA")
 # Cells (rows x picked columns) the loader holds as text and converts at
-# a time. A block bounds the cell text and Python floats held beside the
-# table; 2^16 raised the peak memory of a 20000-row load by about 1 MiB.
+# a time. A block bounds the cell text, Python floats and converted rows
+# held beside the study, the only memory an untested row's cells take;
+# 2^16 raised the peak memory of a 20000-row load by about 1 MiB.
 _BLOCK_VALUES = 2**14
 
 
@@ -112,13 +113,26 @@ def _parse_rows(held, first_line, columns):
     return values
 
 
-def _load_study(path, response_column, biomarker_columns=None, log10=False):
-    """Responses plus biomarker columns, from one streaming read of the file.
+class Study(NamedTuple):
+    """A study as the loader holds it: only its tested rows carry biomarkers.
 
-    Returns (responses, biomarkers): float64 arrays, biomarkers mapping
-    column name to its values with NaN on rows where that biomarker was
-    not tested. biomarker_columns None means every column except the
-    response and 'id'. log10 transforms each biomarker's tested values.
+    responses holds every row's response, in file order. rows holds the
+    positions, ascending, of the rows with at least one tested biomarker
+    cell. biomarkers maps each picked column to its values on those
+    rows, NaN where it was not tested; every one is a view of a single
+    (len(rows), len(biomarkers)) table.
+    """
+
+    responses: np.ndarray
+    rows: np.ndarray
+    biomarkers: dict
+
+
+def _load_study(path, response_column, biomarker_columns=None, log10=False):
+    """The Study in the file, from one streaming read of it.
+
+    biomarker_columns None means every column except the response and
+    'id'. log10 transforms each biomarker's tested values.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -147,36 +161,42 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
             if name not in position:
                 raise SchemaError(f"{path}: missing column {name!r}")
         try:
-            table = _read_blocks(reader, len(header), columns, position)
+            responses, rows, table = _read_blocks(
+                reader, len(header), columns, position
+            )
         except UnicodeDecodeError:
             raise FileError(_not_utf8(path)) from None
-    if not len(table):
+    if not len(responses):
         raise SchemaError(f"{path}: no data rows")
-    # views of the one table, column by column: the responses, then each
-    # biomarker
-    by_column = table.T
-    responses = by_column[0]
-    biomarkers = dict(zip(columns[1:], by_column[1:]))
+    biomarkers = dict(zip(columns[1:], table.T))  # the table's column views
     if log10:
         for name, column in biomarkers.items():
-            _log10_in_place(column, name)
-    return responses, biomarkers
+            _log10_in_place(column, rows, name)
+    return Study(responses, rows, biomarkers)
 
 
 def _read_blocks(reader, width, columns, position):
-    """The data rows as one (rows, len(columns)) float64 table, NaN = missing.
+    """The data rows as (responses, rows, table), NaN = missing.
 
-    Rows are read in blocks of about _BLOCK_VALUES picked cells, and
-    _convert_block writes each block's cell text straight into its rows
-    of the table. A row of the wrong width raises after the block's
-    earlier rows are parsed, so the first error in file order is the one
-    raised.
+    responses holds every row's response. table, float64 with a column
+    per biomarker in columns[1:], holds the biomarker values of the rows
+    with at least one, at the positions rows. A row whose biomarker
+    cells are all missing, however they are spelled, never enters the
+    table: a study tested on its response tails holds 8 bytes per
+    untested row and nothing per untested cell.
+
+    Rows are read in blocks of about _BLOCK_VALUES picked cells, each
+    converted by _convert_block. A row of the wrong width raises after
+    the block's earlier rows are parsed, so the first error in file
+    order is the one raised.
     """
     pick = operator.itemgetter(*[position[name] for name in columns])
     block_rows = -(-_BLOCK_VALUES // len(columns))
     numbered = enumerate(reader, start=2)  # the header is line 1
-    table = np.empty((block_rows, len(columns)))
-    n_rows = 0
+    responses = np.empty(block_rows)
+    rows = np.empty(block_rows, dtype=np.intp)
+    table = np.empty((block_rows, len(columns) - 1))
+    n_rows = n_tested = 0
     while True:
         held = []
         for line_no, row in itertools.islice(numbered, block_rows):
@@ -188,24 +208,42 @@ def _read_blocks(reader, width, columns, position):
             held.append(pick(row))
         if not held:
             break
-        end = n_rows + len(held)
-        if end > len(table):
-            # ndarray.resize is realloc, which glibc serves for a large
-            # table by mremap, so the old and new buffers are never both
-            # resident. It zero-fills the new rows, so growing by a
-            # quarter bounds the unused rows held to a quarter of the
-            # table. Skipping the reference check is safe only because no
-            # view of the table is alive between blocks
-            grown = max(end, len(table) + len(table) // 4)
-            table.resize((grown, len(columns)), refcheck=False)
-        _convert_block(held, n_rows + 2, columns, table[n_rows:end])
-        n_rows = end
-    table.resize((n_rows, len(columns)), refcheck=False)  # the trim
-    return table
+        y, converted, values = _convert_block(held, n_rows + 2, columns)
+        # read off the values, so an all-NA row is as untested as an
+        # all-empty one, whichever path converted it
+        tested = ~np.isnan(values).all(axis=1)
+        _put(rows, n_tested, n_rows + converted[tested])
+        n_tested = _put(table, n_tested, values[tested])
+        n_rows = _put(responses, n_rows, y)
+    for array, n in ((responses, n_rows), (rows, n_tested), (table, n_tested)):
+        array.resize((n, *array.shape[1:]), refcheck=False)  # the trim
+    return responses, rows, table
 
 
-def _convert_block(held, first_line, columns, out):
-    """Write held's rows, from line first_line on, into the float64 rows out.
+def _put(array, start, values):
+    """Write values into array's rows from start on; return the end row.
+
+    ndarray.resize is realloc, which glibc serves for a large array by
+    mremap, so the old and new buffers are never both resident. Growing
+    by a quarter bounds the unused rows held to a quarter of the array.
+    Skipping the reference check is safe only because no view of the
+    array is alive while the loader fills it.
+    """
+    end = start + len(values)
+    if end > len(array):
+        grown = max(end, len(array) + len(array) // 4)
+        array.resize((grown, *array.shape[1:]), refcheck=False)
+    array[start:end] = values
+    return end
+
+
+def _convert_block(held, first_line, columns):
+    """held's rows, from line first_line on, as (responses, converted, values).
+
+    responses holds every held row's response. converted holds the
+    positions in held, ascending, of the rows not found untested by
+    their empty cells, and values those rows' biomarker cells, float64
+    and NaN = missing.
 
     A row's count of empty cells sorts it. An untested row, every
     biomarker cell empty, converts only its response, so its biomarker
@@ -213,7 +251,7 @@ def _convert_block(held, first_line, columns, out):
     in one map(float); any other row goes cell by cell. A failed
     float(), a non-finite value that is not one of the missing tokens
     or a missing response sends the whole block once through
-    _parse_rows, which raises the first error in file order, or writes
+    _parse_rows, which raises the first error in file order, or gives
     the values when the cause was a padded token such as " NA".
     """
     width = len(columns)
@@ -224,14 +262,13 @@ def _convert_block(held, first_line, columns, out):
     # and values, row after row. Extending values by a bare map raised
     # the peak memory of a 2000-column screen by about 3 MiB
     untested, responses, converted, values = [], [], [], []
-    n_missing = 0
+    n_missing = 0  # the missing tokens among values
     try:
         for r, cells in enumerate(held):
             n_empty = cells.count(empty)
             if n_empty == width - 1:
                 untested.append(r)
                 responses.append(float(cells[0]))
-                n_missing += n_empty
                 continue
             converted.append(r)
             if not n_empty and na not in cells:
@@ -242,25 +279,27 @@ def _convert_block(held, first_line, columns, out):
     except ValueError:
         pass  # a padded token, or an error that _parse_rows names
     else:
-        out[untested, 1:] = nan
-        out[untested, 0] = responses
-        rows = np.fromiter(values, float, len(values))
-        out[converted] = rows.reshape(-1, width)
+        rows = np.fromiter(values, float, len(values)).reshape(-1, width)
+        y = np.empty(len(held))
+        y[untested] = responses
+        y[converted] = rows[:, 0]
         # every non-finite value must come from one of the n_missing
-        # missing tokens, and no response may be missing
-        non_finite = out.size - np.count_nonzero(np.isfinite(out))
-        if non_finite == n_missing and not np.isnan(out[:, 0]).any():
-            return
-    out[:] = np.reshape(_parse_rows(held, first_line, columns), (-1, width))
+        # missing tokens, and every response must be finite
+        non_finite = rows.size - np.count_nonzero(np.isfinite(rows))
+        if non_finite == n_missing and np.isfinite(y).all():
+            return y, np.array(converted, np.intp), rows[:, 1:]
+    rows = np.reshape(_parse_rows(held, first_line, columns), (-1, width))
+    return rows[:, 0], np.arange(len(held)), rows[:, 1:]
 
 
-def _log10_in_place(column, biomarker_id):
+def _log10_in_place(column, rows, biomarker_id):
+    """log10 of column's tested values; rows are its entries' positions."""
     tested = np.flatnonzero(~np.isnan(column))
     bad = tested[~(column[tested] > 0.0)]
     if bad.size:
         i = int(bad[0])
         raise DomainError(
-            f"line {i + 2}, biomarker {biomarker_id!r}: log10 "
+            f"line {rows[i] + 2}, biomarker {biomarker_id!r}: log10 "
             f"transform needs positive values, got {float(column[i])!r}"
         )
     # math.log10 per value: np.log10 is not guaranteed to round the same
@@ -275,6 +314,20 @@ def _full_summary(responses, response_column):
         raise DomainError(
             f"response column {response_column!r}: {exc}"
         ) from None
+
+
+def _tested_subset(study, biomarker):
+    """The tested pairs of a study loaded with biomarker as its one column.
+
+    With one picked column, every row the table holds is tested for it.
+    gamma is the tested rows' share of all rows.
+    """
+    n_tested = len(study.rows)
+    return odeb.SelectedSubset.from_arrays(
+        study.biomarkers[biomarker],
+        study.responses[study.rows],
+        n_tested / len(study.responses),
+    )
 
 
 def _warn_if_not_extreme(inside, label):
@@ -306,15 +359,17 @@ def _write_qq(prefix, diag):
 
 
 def cmd_analyze(args):
-    responses, biomarkers = _load_study(
+    study = _load_study(
         args.input, args.response, [args.biomarker], args.log10
     )
-    values = biomarkers[args.biomarker]
-    full = _full_summary(responses, args.response)
-    subset = odeb.SelectedSubset.from_tested(responses, values)
+    full = _full_summary(study.responses, args.response)
+    # 0-3 tested rows get the estimator's refusal, as in a screen
+    odeb.check_selected_count(len(study.rows))
+    subset = _tested_subset(study, args.biomarker)
     est = odeb.estimate(subset, full, args.confidence)
+    tested = screen.tested_mask(len(study.responses), study.rows)
     _warn_if_not_extreme(
-        screen.rows_inside(responses, ~np.isnan(values)),
+        screen.rows_inside(study.responses, tested),
         f"biomarker {args.biomarker!r}",
     )
     n_full = full.n_full
@@ -337,7 +392,7 @@ def cmd_analyze(args):
 
     if args.out:
         report_path = f"{args.out}_report.csv"
-        diag = odeb.check_model(subset, responses)
+        diag = odeb.check_model(subset, study.responses)
         qq_response, qq_residuals = _write_qq(args.out, diag)
         with open(report_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -449,13 +504,16 @@ def cmd_screen(args):
         raise DomainError(
             f"--bh-level must lie in (0, 1], got {args.bh_level!r}"
         )
-    responses, biomarkers = _load_study(
+    study = _load_study(
         args.input, args.response, _screen_columns(args), args.log10
     )
-    _full_summary(responses, args.response)  # names the column on failure
-    table = screen.screen_biomarkers(responses, biomarkers, args.confidence)
+    # names the column on failure
+    _full_summary(study.responses, args.response)
+    table = screen.screen_tested(
+        study.responses, study.rows, study.biomarkers, args.confidence
+    )
     by_id = {row.biomarker_id: row for row in table}
-    for biomarker_id in biomarkers:
+    for biomarker_id in study.biomarkers:
         row = by_id[biomarker_id]
         if row.error is None:
             label = f"biomarker {biomarker_id!r}"
@@ -638,14 +696,10 @@ def cmd_simulate(args):
 
 
 def cmd_check(args):
-    responses, biomarkers = _load_study(
-        args.input, args.response, [args.biomarker]
-    )
-    subset = odeb.SelectedSubset.from_tested(
-        responses, biomarkers[args.biomarker]
-    )
-    _full_summary(responses, args.response)  # the moments must be finite
-    diag = odeb.check_model(subset, responses)
+    study = _load_study(args.input, args.response, [args.biomarker])
+    subset = _tested_subset(study, args.biomarker)
+    _full_summary(study.responses, args.response)  # the moments must be finite
+    diag = odeb.check_model(subset, study.responses)
     prefix = args.out or _default_check_prefix(args.input)
     qq_response, qq_residuals = _write_qq(prefix, diag)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import dist
 from ._util import MIN_ESTIMATE_PAIRS, round_half_away_from_zero
-from ._util import check_alpha, check_gamma, selected_count, whole_number
+from ._util import check_alpha, check_gamma, whole_number
 from .errors import DomainError, Infeasible
 
 _MAX_N_FULL = 10_000_000
@@ -53,7 +53,7 @@ class DesignSpec:
         check_gamma(self.gamma)
         _check_effect_f(self.effect_f)
         check_alpha(self.alpha)
-        n_selected = selected_count(self.gamma, self.n_full)
+        n_selected = self.n_selected
         if n_selected < MIN_ESTIMATE_PAIRS:
             raise DomainError(
                 f"gamma {self.gamma!r} selects only {n_selected} of "
@@ -63,7 +63,7 @@ class DesignSpec:
 
     @property
     def n_selected(self):
-        return selected_count(self.gamma, self.n_full)
+        return round_half_away_from_zero(self.gamma * self.n_full)
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,15 @@ def check_slope_ceiling(beta_y, var_y, sigma2_eps_x):
         )
 
 
+def check_selected_count(n_selected):
+    """InsufficientData below the MIN_ESTIMATE_PAIRS the estimator needs."""
+    if n_selected < MIN_ESTIMATE_PAIRS:
+        raise InsufficientData(
+            f"need at least {MIN_ESTIMATE_PAIRS} selected pairs for variance "
+            "inference"
+        )
+
+
 @dataclass
 class EstimateRows:
     """estimate() for one subset or many: entry i belongs to row i.
@@ -275,11 +284,7 @@ def estimate_rows(
             f"confidence level must lie in (0, 1), got {confidence_level!r}"
         )
     n_selected = np.shape(responses)[-1]
-    if n_selected < MIN_ESTIMATE_PAIRS:
-        raise InsufficientData(
-            f"need at least {MIN_ESTIMATE_PAIRS} selected pairs for variance "
-            "inference"
-        )
+    check_selected_count(n_selected)
     if n_selected > n_full:
         raise DomainError("selected subset is larger than the full sample")
     rev = regress.fit_rows(responses, biomarkers)

@@ -176,6 +176,13 @@ def rows_inside(responses, tested):
     return np.count_nonzero((untested.min() < y) & (y < untested.max()))
 
 
+def tested_mask(n, rows):
+    """A length-n boolean mask, true at the positions rows."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = True
+    return mask
+
+
 def tested_groups(columns):
     """Column positions grouped by tested-row mask, in first-seen order.
 
@@ -199,19 +206,11 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
 
     responses is the full response vector. biomarkers maps each id to a
     vector aligned with it row for row, NaN where that biomarker was not
-    tested; each biomarker is fit on its own tested rows, and the
-    columns tested on the same rows are fit together, one
-    odeb.estimate_rows call per _FIT_COLUMNS of them; each successful
-    column's p-value is one regress.slope_p_value call. Per-biomarker
-    estimation failures flag the row and the batch keeps going; rows
-    are sorted by ascending p-value (failed rows last, ties by
-    biomarker id) and carry BH q-values over the successful tests.
-    Each row's rows_inside counts, once per tested-row mask, the tested
-    rows strictly inside the untested response range.
+    tested. The rows where any biomarker was tested are kept and
+    screened by screen_tested.
     """
     y = np.asarray(responses, dtype=float)
-    full = odeb.FullResponseSummary.from_responses(y)
-    columns = []
+    columns = {}
     for biomarker_id, values in biomarkers.items():
         x = np.asarray(values, dtype=float)
         if x.shape != y.shape:
@@ -219,13 +218,42 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
                 f"biomarker {biomarker_id!r} has {x.shape[0]} rows; "
                 f"expected {y.shape[0]}"
             )
-        columns.append(x)
+        columns[biomarker_id] = x
+    tested = np.zeros(y.shape, dtype=bool)
+    for x in columns.values():
+        tested |= ~np.isnan(x)
+    rows = np.flatnonzero(tested)
+    compact = {biomarker_id: x[rows] for biomarker_id, x in columns.items()}
+    return screen_tested(y, rows, compact, confidence_level)
 
+
+def screen_tested(responses, rows, biomarkers, confidence_level=0.95):
+    """screen_biomarkers on the tested rows alone.
+
+    responses is the full response vector and rows are ascending
+    positions in it. biomarkers maps each id to its values on those
+    rows, NaN where that biomarker was not tested. Each biomarker is
+    fit on its own tested rows, and the columns tested on the same rows
+    are fit together, one odeb.estimate_rows call per _FIT_COLUMNS of
+    them; each successful column's p-value is one regress.slope_p_value
+    call. Per-biomarker estimation failures flag the row and the batch
+    keeps going; rows are sorted by ascending p-value (failed rows last,
+    ties by biomarker id) and carry BH q-values over the successful
+    tests. Each row's rows_inside counts, once per tested-row mask, the
+    tested rows strictly inside the untested response range.
+    """
+    y = np.asarray(responses, dtype=float)
+    full = odeb.FullResponseSummary.from_responses(y)
+    rows = np.asarray(rows, dtype=np.intp)
     names = [str(biomarker_id) for biomarker_id in biomarkers]
-    rows = [None] * len(columns)
+    columns = [np.asarray(x, dtype=float) for x in biomarkers.values()]
+    if any(x.shape != rows.shape for x in columns):
+        raise DomainError("every biomarker needs one value per tested row")
+    screened = [None] * len(columns)
     for tested, positions in tested_groups(columns):
-        inside = rows_inside(y, tested)
-        y_tested = y[tested]
+        mask = tested_mask(len(y), rows[tested])
+        inside = rows_inside(y, mask)
+        y_tested = y[mask]
         for start in range(0, len(positions), _FIT_COLUMNS):
             chunk = positions[start : start + _FIT_COLUMNS]
             try:
@@ -255,12 +283,11 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
                     p_value = regress.slope_p_value(t, est.reverse_fit.df)
                 else:
                     fit, p_value = [math.nan] * 4, math.nan
-                rows[i] = ScreenRow(
+                screened[i] = ScreenRow(
                     names[i], *fit, p_value, math.nan, rank=0, error=reason,
                     rows_inside=inside,
                 )
-
-    tests = [row for row in rows if row.error is None]
+    tests = [row for row in screened if row.error is None]
     for row, q_value in zip(tests, bh_adjust([r.p_value for r in tests])):
         row.q_value = q_value
 
@@ -268,7 +295,7 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
         failed = math.isnan(row.p_value)
         return (failed, 0.0 if failed else row.p_value, row.biomarker_id)
 
-    rows.sort(key=sort_key)
-    for i, row in enumerate(rows, start=1):
+    screened.sort(key=sort_key)
+    for i, row in enumerate(screened, start=1):
         row.rank = i
-    return rows
+    return screened

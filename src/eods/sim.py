@@ -387,6 +387,20 @@ def _arm(scenario, x_sub, y_sub, moments, first):
     return est, lo, hi, np.abs(fit.t_stat[kept]) >= t_point
 
 
+def _median(values):
+    """np.median of a 1-D array, bit for bit, as a float.
+
+    np.median's NaN check imports numpy.ma, the one import simulate
+    would make after start-up; its even case is np.mean of the two
+    middle values, which is their sum halved.
+    """
+    ranked = np.sort(values)
+    mid = len(ranked) // 2
+    if len(ranked) % 2:
+        return float(ranked[mid])
+    return float((ranked[mid - 1] + ranked[mid]) / 2)
+
+
 def _metrics(scenario, est, lo, hi, rejected):
     """The SimMetrics of a scenario's kept replicates.
 
@@ -405,7 +419,7 @@ def _metrics(scenario, est, lo, hi, rejected):
             mean_estimate=mean_est,
             bias=mean_est - scenario.beta_y,
             rmse=float(np.sqrt(np.mean(err * err))),
-            mae=float(np.median(np.abs(err))),
+            mae=_median(np.abs(err)),
             rejection_rate=float(np.mean(rejected)),
             ci_coverage=float(
                 np.mean((lo <= scenario.beta_y) & (scenario.beta_y <= hi))

@@ -13,7 +13,7 @@ import pytest
 
 from eods import cli, dist, odeb, sim
 from eods.cli import main
-from eods.errors import SchemaError
+from eods.errors import DomainError, SchemaError
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN_STUDY = os.path.join(DATA_DIR, "golden_study.csv")
@@ -255,6 +255,31 @@ def test_analyze_subset_below_four_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n_tested", [0, 1, 2, 3])
+def test_analyze_names_too_few_tested_rows_as_the_estimator(
+    tmp_path, capsys, n_tested
+):
+    # one text for every count below four, the one screen gives
+    rows = [
+        [f"r{i}", repr(1.0 + i / 7.0), repr(0.5 * i) if i < n_tested else ""]
+        for i in range(12)
+    ]
+    path = tmp_path / "few.csv"
+    _write_study(path, rows)
+    code = main(
+        [
+            "analyze",
+            "--input", str(path),
+            "--response", "resp",
+            "--biomarker", "bm",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: need at least 4 selected pairs for variance inference\n"
+    )
+
+
 def test_analyze_non_numeric_cell_context(tmp_path, capsys):
     path = tmp_path / "junk.csv"
     _write_study(path, [["a", "1.0", "2.0"], ["b", "oops", "3.0"]])
@@ -388,6 +413,21 @@ def _wide_study(path, cell, n_rows, width=2000):
     _write_study(path, rows, header=header)
 
 
+def _load_full(path, *args, **kwargs):
+    """_load_study's responses, and its biomarkers spread over every row.
+
+    Each biomarker's tested-row values go back to their rows of a
+    full-length column, NaN elsewhere, so the loader's values compare
+    bit for bit with references that list every row.
+    """
+    study = cli._load_study(str(path), *args, **kwargs)
+    biomarkers = {}
+    for name, column in study.biomarkers.items():
+        biomarkers[name] = np.full(len(study.responses), math.nan)
+        biomarkers[name][study.rows] = column
+    return study.responses, biomarkers
+
+
 @pytest.mark.parametrize(
     "token", [" 1.5 ", " NA ", " ", "1_000", "1e999", "nan", "-Infinity"]
 )
@@ -410,7 +450,7 @@ def test_loader_matches_parse_cell_inside_a_wide_row(tmp_path, token):
             cli._load_study(str(path), "resp")
         assert str(got.value) == str(exc)
         return
-    responses, biomarkers = cli._load_study(str(path), "resp")
+    responses, biomarkers = _load_full(path, "resp")
     assert responses.tolist() == [float(i) for i in range(70)]
     for j, (name, column) in enumerate(biomarkers.items()):
         expect = [cli._parse_cell(cell(i, j), i + 2, name) for i in range(70)]
@@ -431,7 +471,7 @@ def _assert_loads_as_parse_rows(path, table, columns):
             cli._load_study(str(path), columns[0], columns[1:])
         assert str(got.value) == str(exc)
         return
-    responses, biomarkers = cli._load_study(str(path), columns[0], columns[1:])
+    responses, biomarkers = _load_full(path, columns[0], columns[1:])
     got = np.column_stack([responses, *biomarkers.values()])
     np.testing.assert_array_equal(got, np.reshape(want, got.shape))
 
@@ -492,7 +532,7 @@ def test_loader_valid_rows_skip_the_per_cell_parser(tmp_path, monkeypatch):
         raise AssertionError("a valid row went through _parse_rows")
 
     monkeypatch.setattr(cli, "_parse_rows", no_reparse)
-    responses, biomarkers = cli._load_study(str(path), "resp", columns[1:])
+    responses, biomarkers = _load_full(path, "resp", columns[1:])
     got = np.column_stack([responses, *biomarkers.values()])
     np.testing.assert_array_equal(got, np.reshape(want, got.shape))
 
@@ -509,7 +549,7 @@ def test_loader_row_of_na_cells(tmp_path):
         header=["id", *columns],
     )
     _assert_loads_as_parse_rows(path, table, columns)
-    responses, biomarkers = cli._load_study(str(path), "resp", columns[1:])
+    responses, biomarkers = _load_full(path, "resp", columns[1:])
     assert all(math.isnan(v[3]) for v in biomarkers.values())
     table[5] = ["NA"] * 4
     _write_study(
@@ -586,11 +626,11 @@ def test_loader_parses_a_padded_block_once(tmp_path, monkeypatch):
         return parse_rows(held, first_line, columns)
 
     monkeypatch.setattr(cli, "_parse_rows", counting)
-    got = cli._load_study(str(padded), "resp")
+    got = _load_full(padded, "resp")
     blocks = -(-20000 // -(-cli._BLOCK_VALUES // 2))
     assert 0 < len(calls) <= blocks
     monkeypatch.setattr(cli, "_parse_rows", parse_rows)
-    want = cli._load_study(str(plain), "resp")
+    want = _load_full(plain, "resp")
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1]["bm"], want[1]["bm"])
 
@@ -646,7 +686,8 @@ def _grown_study(path, n_rows, width):
 def test_loader_table_matches_a_plain_csv_reference(tmp_path):
     # enough rows to cross block edges and several growth steps of the
     # table; every array must hold the csv module's text through float()
-    # bit for bit, and all of them must be views of one table
+    # bit for bit. The table holds the rows with a biomarker value, as
+    # the reference has them, and every biomarker column is a view of it
     width = 37
     block_rows = -(-cli._BLOCK_VALUES // (width + 1))
     table, columns = _grown_study(tmp_path / "grown.csv", 9 * block_rows + 5,
@@ -656,15 +697,43 @@ def test_loader_table_matches_a_plain_csv_reference(tmp_path):
         return math.nan if cell.strip() in ("", "NA") else float(cell)
 
     want = np.array([[reference(c) for c in row] for row in table])
-    responses, biomarkers = cli._load_study(str(tmp_path / "grown.csv"),
-                                            "resp")
-    assert list(biomarkers) == columns[1:]
-    got = [responses, *biomarkers.values()]
-    for j, column in enumerate(got):
-        assert column.tobytes() == want[:, j].tobytes(), columns[j]
-    base = responses.base
-    assert base is not None and base.shape == want.shape
-    assert all(column.base is base for column in got)
+    tested = np.flatnonzero(~np.isnan(want[:, 1:]).all(axis=1))
+    study = cli._load_study(str(tmp_path / "grown.csv"), "resp")
+    assert list(study.biomarkers) == columns[1:]
+    assert study.responses.tobytes() == want[:, 0].tobytes()
+    assert study.rows.tolist() == tested.tolist()
+    assert 0 < len(tested) < len(table)
+    for j, column in enumerate(study.biomarkers.values(), start=1):
+        assert column.tobytes() == want[tested, j].tobytes(), columns[j]
+    base = study.biomarkers[columns[1]].base
+    assert base is not None and base.shape == (len(tested), width)
+    assert all(column.base is base for column in study.biomarkers.values())
+
+
+def test_loader_table_holds_only_the_rows_with_a_tested_cell(tmp_path):
+    # _grown_study's rows 1 and 3 of every 4 leave their biomarker cells
+    # empty, "NA" or padded " NA": none of them enters the table. The
+    # same study without them keeps every row
+    width = 37
+    block_rows = -(-cli._BLOCK_VALUES // (width + 1))
+    n_rows = 4 * block_rows + 3
+    table, columns = _grown_study(tmp_path / "mixed.csv", n_rows, width)
+    study = cli._load_study(str(tmp_path / "mixed.csv"), "resp")
+    assert len(study.responses) == n_rows
+    assert study.rows.tolist() == [i for i in range(n_rows) if i % 4 in (0, 2)]
+    assert study.rows.dtype == np.intp
+    kept = [row for i, row in enumerate(table) if i % 4 in (0, 2)]
+    _write_study(
+        tmp_path / "all.csv",
+        [[f"r{i}", *cells] for i, cells in enumerate(kept)],
+        header=["id", *columns],
+    )
+    every = cli._load_study(str(tmp_path / "all.csv"), "resp")
+    assert every.rows.tolist() == list(range(len(kept)))
+    assert every.responses.tobytes() == study.responses[study.rows].tobytes()
+    for name, column in every.biomarkers.items():
+        assert column.tobytes() == study.biomarkers[name].tobytes(), name
+        assert column.base.shape == (len(kept), width)
 
 
 @pytest.mark.parametrize("fault", ["cell", "width"])
@@ -692,7 +761,7 @@ def test_loader_reports_a_late_block_error_at_its_line(tmp_path, fault):
 
 def test_loader_log10_transforms_through_the_column_views(tmp_path):
     # --log10 writes each tested value's math.log10 into the shared
-    # table; the responses and the untested cells stay as read
+    # table of the tested rows; the responses stay as read
     width = 11
     block_rows = -(-cli._BLOCK_VALUES // (width + 1))
     n_rows = 3 * block_rows + 1
@@ -707,13 +776,38 @@ def test_loader_log10_transforms_through_the_column_views(tmp_path):
     path = tmp_path / "log10.csv"
     columns = [f"bm{j:02d}" for j in range(width)]
     _write_study(path, rows, header=["id", "resp", *columns])
-    responses, biomarkers = cli._load_study(str(path), "resp", log10=True)
-    assert responses.tolist() == [0.25 * i for i in range(n_rows)]
+    study = cli._load_study(str(path), "resp", log10=True)
+    assert study.responses.tolist() == [0.25 * i for i in range(n_rows)]
+    tested = [i for i in range(n_rows) if i % 3 != 1]
+    assert study.rows.tolist() == tested
+    base = study.biomarkers[columns[0]].base
+    assert base is not None and base.shape == (len(tested), width)
     for j, name in enumerate(columns):
-        want = [math.nan if math.isnan(v) else math.log10(v)
-                for v in raw[:, j].tolist()]
-        assert biomarkers[name].tobytes() == np.array(want).tobytes()
-        assert biomarkers[name].base is responses.base
+        want = [math.log10(v) for v in raw[tested, j].tolist()]
+        assert study.biomarkers[name].tobytes() == np.array(want).tobytes()
+        assert study.biomarkers[name].base is base
+
+
+def test_loader_log10_error_names_the_file_line(tmp_path):
+    # every fifth row is tested, so the bad value's table row, 27, is
+    # not its file line, 139; it lies past the first block
+    width = 150
+    rows = [
+        [f"r{i}", repr(0.25 * i),
+         *(repr(1.0 + i + j) if i % 5 == 2 else "" for j in range(width))]
+        for i in range(200)
+    ]
+    rows[137][2 + 3] = "-0.5"
+    path = tmp_path / "log10_bad.csv"
+    columns = [f"bm{j:03d}" for j in range(width)]
+    _write_study(path, rows, header=["id", "resp", *columns])
+    assert -(-cli._BLOCK_VALUES // (width + 1)) < 137
+    with pytest.raises(DomainError) as got:
+        cli._load_study(str(path), "resp", log10=True)
+    assert str(got.value) == (
+        "line 139, biomarker 'bm003': log10 transform needs positive "
+        "values, got -0.5"
+    )
 
 
 @pytest.mark.parametrize("command", ["analyze", "screen", "check"])
@@ -984,13 +1078,15 @@ def test_plan_argument_validation(capsys):
     )
     assert main(["plan", "--n-full", "200", "--gamma", "0.2"]) == 2
     capsys.readouterr()
-    # too few selected subjects, in the words of every other command
+    # too few selected subjects: every count below four gets the
+    # estimator's text
     assert (
         main(["plan", "--n-full", "10", "--gamma", "0.2", "--effect-f", "0.3"])
         == 2
     )
-    assert "gamma 0.2 selects only 2 of 10 rows; need 3" in (
-        capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: gamma 0.2 selects only 2 of 10 rows; the estimator needs "
+        "at least 4\n"
     )
 
     # three selected subjects: a design the estimator refuses
@@ -1368,20 +1464,15 @@ print(code, high_water_mark() - base)
 """
 
 
-@pytest.mark.skipif(
-    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
-)
-def test_screen_peak_memory_holds_the_study_once(tmp_path):
-    # a wide study tested on its response tails, as a screen's input is.
-    # The loaded table is n_rows x (width + 1) doubles. Holding it twice,
-    # as a list of blocks beside their concatenation, rose 2.3-2.6 times
-    # its size; one table grown in place rises about 1.4 times
-    n_rows, width = 1000, 2000
+def _tail_tested_study(path, n_rows, width):
+    """A wide study tested on its 100 lowest and 100 highest responses.
+
+    Returns the path as a string.
+    """
     rng = np.random.default_rng(21)
     y = rng.normal(10.0, 3.0, size=n_rows)
     order = np.argsort(y)
     tested = set(order[:100].tolist()) | set(order[-100:].tolist())
-    path = tmp_path / "wide.csv"
     with open(path, "w", encoding="utf-8") as fh:
         names = (f"bm{j:04d}" for j in range(width))
         fh.write(",".join(["id", "resp", *names]) + "\n")
@@ -1391,8 +1482,22 @@ def test_screen_peak_memory_holds_the_study_once(tmp_path):
                 values = np.round(rng.normal(size=width), 6).tolist()
                 cells = "," + ",".join(map(repr, values))
             fh.write(f"r{i},{v!r}{cells}\n")
+    return str(path)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_screen_peak_memory_holds_the_study_once(tmp_path):
+    # a wide study tested on its response tails, as a screen's input is.
+    # The bound is on a table of n_rows x (width + 1) doubles. Holding
+    # it twice, as a list of blocks beside their concatenation, rose
+    # 2.3-2.6 times its size; one table grown in place rose about 1.4
+    # times, and the tested rows alone rise about 0.46 times
+    n_rows, width = 1000, 2000
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_CHILD, "screen", "--input", str(path),
+        [sys.executable, "-c", _PEAK_CHILD, "screen", "--input",
+         _tail_tested_study(tmp_path / "wide.csv", n_rows, width),
          "--response", "resp", "--out", str(tmp_path / "out.csv")],
         capture_output=True, text=True, timeout=120,
     )
@@ -1401,6 +1506,27 @@ def test_screen_peak_memory_holds_the_study_once(tmp_path):
     assert code == "0"
     table_bytes = n_rows * (width + 1) * 8
     assert int(grown) < 1.75 * table_bytes
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_screen_peak_memory_scales_with_the_tested_cells(tmp_path):
+    # the study above, with its 200 tested rows of 1000: the loader
+    # holds only those rows' biomarker cells. Holding every row's, as a
+    # table 80% NaN, rose 6.95 times the tested cells' bytes; holding
+    # the tested rows alone rises about 2.3 times
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, "screen", "--input",
+         _tail_tested_study(tmp_path / "wide.csv", 1000, 2000),
+         "--response", "resp", "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, grown = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    tested_bytes = 200 * 2000 * 8
+    assert int(grown) < 4.5 * tested_bytes
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity"])
@@ -1548,6 +1674,32 @@ def test_simulate_extreme_input_fails_by_name(tmp_path, capsys, change):
     with open(out, encoding="utf-8") as fh:
         errors = [row["error"] for row in csv.DictReader(fh)]
     assert all("beyond double range" in e for e in errors if e)
+
+
+def test_simulate_imports_no_numpy_ma(tmp_path):
+    # np.median would import numpy.ma on its first call
+    cfg = tmp_path / "small.cfg"
+    _write_config(
+        cfg,
+        "n_full = 40, 41\nbeta_y = 0.4\ngamma = 0.2\n"
+        "sampling = extreme\nestimator = odeb, ols\n"
+        "replicates = 30\nseed = 5\n",
+    )
+    child = (
+        "import sys\n"
+        "from eods import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "small.csv")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    rows = _read_csv(tmp_path / "small.csv")
+    assert len(rows) == 5 and all(row[-1] == "" for row in rows[1:])
 
 
 def test_simulate_single_cell_matches_run_scenario(tmp_path):

@@ -438,6 +438,17 @@ def test_screen_computes_p_values_once(monkeypatch):
     assert len(set(calls)) > 1
 
 
+def test_screen_tested_takes_any_rows_that_hold_the_tested_ones():
+    # screen_biomarkers keeps the rows where some biomarker was tested;
+    # every row, untested ones too, gives the same screen bit for bit
+    y, table, _ = _mask_fixture()
+    want = screen.screen_biomarkers(y, table)
+    every = np.arange(len(y))
+    assert screen.screen_tested(y, every, table) == want
+    with pytest.raises(DomainError, match="one value per tested row"):
+        screen.screen_tested(y, every[:-1], table)
+
+
 def test_tested_groups_in_order_of_first_appearance():
     y, table, _ = _mask_fixture()
     groups = screen.tested_groups(list(table.values()))

@@ -322,6 +322,14 @@ def test_run_grid_empty_rejected():
         sim.run_grid([])
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 400, 401])
+def test_median_is_numpys_bit_for_bit(size):
+    values = np.abs(np.random.default_rng(size).standard_cauchy(size))
+    want = np.median(values)
+    assert sim._median(values) == want
+    assert np.float64(sim._median(values)).tobytes() == want.tobytes()
+
+
 def _reference_metrics(scenario):
     # the per-replicate loop through the one-replicate public functions
     estimates, covered, rejected, lengths = [], [], [], []
