@@ -35,7 +35,6 @@ from .odeb import (
     convert_reverse_to_forward,
     estimate,
     se_beta_y,
-    test_association,
 )
 from .regress import FitResult, PairedSample, fit_simple
 from .screen import (
@@ -94,7 +93,6 @@ __all__ = [
     "screen_biomarkers",
     "se_beta_y",
     "select_extremes",
-    "test_association",
     "variance_inflation",
 ]
 

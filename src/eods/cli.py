@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import design, odeb, screen, sim
+from . import design, odeb, regress, screen, sim
 from .errors import (
     ConfigError,
     DomainError,
@@ -392,7 +392,7 @@ def cmd_analyze(args):
 
     if args.out:
         report_path = f"{args.out}_report.csv"
-        diag = odeb.check_model(subset, study.responses)
+        diag = odeb.check_model(est.reverse_fit, study.responses)
         qq_response, qq_residuals = _write_qq(args.out, diag)
         with open(report_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -699,7 +699,9 @@ def cmd_check(args):
     study = _load_study(args.input, args.response, [args.biomarker])
     subset = _tested_subset(study, args.biomarker)
     _full_summary(study.responses, args.response)  # the moments must be finite
-    diag = odeb.check_model(subset, study.responses)
+    diag = odeb.check_model(
+        regress.fit_simple(subset.pairs), study.responses
+    )
     prefix = args.out or _default_check_prefix(args.input)
     qq_response, qq_residuals = _write_qq(prefix, diag)
 

@@ -64,18 +64,19 @@ class SelectedSubset:
     """
 
     pairs: regress.PairedSample
-    n_selected: int
     gamma: float
 
     def __post_init__(self):
-        if len(self.pairs) != self.n_selected:
-            raise DomainError("n_selected does not match the number of pairs")
         check_gamma(self.gamma)
+
+    @property
+    def n_selected(self):
+        return len(self.pairs)
 
     @classmethod
     def from_arrays(cls, biomarker, response, gamma):
         pairs = regress.PairedSample(predictor=response, response=biomarker)
-        return cls(pairs=pairs, n_selected=len(pairs), gamma=gamma)
+        return cls(pairs=pairs, gamma=gamma)
 
     @classmethod
     def from_tested(cls, responses, biomarker):
@@ -197,8 +198,7 @@ def se_beta_y(beta_x_hat, se_beta_x, sigma2_eps_x_hat, var_y_tilde, n_selected, 
     the slope and 2 sigma^4 / df for each variance estimate, df being
     n_selected - 2 and n_full - 1 respectively.
     """
-    if n_selected < MIN_ESTIMATE_PAIRS:
-        raise DomainError(f"n_selected must be at least {MIN_ESTIMATE_PAIRS}")
+    check_selected_count(n_selected)
     if n_full < 2:
         raise DomainError("n_full must be at least 2")
     if not var_y_tilde > 0.0:
@@ -383,16 +383,6 @@ def estimate(subset, full, confidence_level=0.95):
     )
 
 
-def test_association(subset):
-    """Slope t-test of the reverse fit: (t_stat, two-sided p-value).
-
-    Under joint normality this test of the reverse slope is exactly the
-    test of no forward association, so its p-value transfers.
-    """
-    rev = regress.fit_simple(subset.pairs)
-    return rev.t_stat, rev.p_value
-
-
 @dataclass
 class ModelDiagnostics:
     """Plot-ready series for the two normality assumptions.
@@ -409,15 +399,20 @@ class ModelDiagnostics:
     residual_excess_kurtosis: float
 
 
-def check_model(subset, full_responses):
-    """Diagnostics for the two assumptions behind the conversion."""
+def check_model(reverse_fit, full_responses):
+    """Diagnostics for the two assumptions behind the conversion.
+
+    reverse_fit is the FitResult of the biomarker on the response over
+    the tested pairs, such as estimate(...).reverse_fit; its residuals
+    are checked as they are, with no second fit.
+    """
     full_responses = np.asarray(full_responses, dtype=float)
-    rev = regress.fit_simple(subset.pairs)
+    residuals = reverse_fit.residuals
     return ModelDiagnostics(
         response_qq=regress.qq_points(full_responses),
-        residual_qq=regress.qq_points(rev.residuals),
+        residual_qq=regress.qq_points(residuals),
         response_skewness=regress.skewness(full_responses),
         response_excess_kurtosis=regress.excess_kurtosis(full_responses),
-        residual_skewness=regress.skewness(rev.residuals),
-        residual_excess_kurtosis=regress.excess_kurtosis(rev.residuals),
+        residual_skewness=regress.skewness(residuals),
+        residual_excess_kurtosis=regress.excess_kurtosis(residuals),
     )

@@ -215,8 +215,8 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
         x = np.asarray(values, dtype=float)
         if x.shape != y.shape:
             raise DomainError(
-                f"biomarker {biomarker_id!r} has {x.shape[0]} rows; "
-                f"expected {y.shape[0]}"
+                f"biomarker {biomarker_id!r} has shape {x.shape}; "
+                f"expected {y.shape}"
             )
         columns[biomarker_id] = x
     tested = np.zeros(y.shape, dtype=bool)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from eods import cli, dist, odeb, sim
+from eods import cli, dist, odeb, regress, sim
 from eods.cli import main
 from eods.errors import DomainError, SchemaError
 
@@ -76,6 +76,30 @@ def test_analyze_golden_byte_stable(tmp_path, monkeypatch):
         with open(os.path.join(DATA_DIR, name), "rb") as fh:
             want = fh.read()
         assert got == want, f"{name} drifted from the committed golden file"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze", "--out", "fits"], ["check", "--out", "fits"]],
+    ids=["analyze", "check"],
+)
+def test_one_reverse_fit_per_call(tmp_path, monkeypatch, command):
+    # the diagnostics read the residuals of the fit the estimate made
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    fit_rows = regress.fit_rows
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fit_rows(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "fit_rows", counted)
+    code = main(
+        command
+        + ["--input", GOLDEN_STUDY, "--response", "resp", "--biomarker", "bm1"]
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_analyze_golden_matches_hand_normal_equations():

@@ -24,6 +24,9 @@ REF_FORWARD = (1.5, 1.5, 16.0)
 REF_T3 = math.sqrt(3.0)
 REF_P3 = 1.0 / 3.0
 
+# the estimator's refusal of a subset below four pairs, on every path
+TOO_FEW_SELECTED = "need at least 4 selected pairs for variance inference"
+
 
 def test_conversion_null_slope():
     beta_y, alpha_y, s2y = odeb.convert_reverse_to_forward(0.0, 0.7, 4.0, 2.5, 9.0)
@@ -92,12 +95,11 @@ def test_se_decreasing_in_n_full():
 def test_se_guards():
     with pytest.raises(DomainError):
         odeb.se_beta_y(0.1, 0.05, 2.0, 0.0, 30, 100)
-    with pytest.raises(DomainError):
-        odeb.se_beta_y(0.1, 0.05, 2.0, 4.0, 2, 100)
     # estimate_rows refuses fewer than four selected pairs, and so does
-    # the scalar helper
-    with pytest.raises(DomainError, match="n_selected must be at least 4"):
-        odeb.se_beta_y(0.3, 0.05, 2.0, 4.0, 3, 100)
+    # the scalar helper, by the estimator's text
+    for n_selected in (2, 3):
+        with pytest.raises(InsufficientData, match=TOO_FEW_SELECTED):
+            odeb.se_beta_y(0.3, 0.05, 2.0, 4.0, n_selected, 100)
     assert odeb.se_beta_y(0.3, 0.05, 2.0, 4.0, 4, 100) > 0.0
     with pytest.raises(DegenerateInput):
         odeb.se_beta_y(0.0, 0.05, 0.0, 4.0, 30, 100)
@@ -130,15 +132,16 @@ def test_estimate_basic_contract():
 
 def test_estimate_requires_four_points():
     pairs = PairedSample([0.0, 1.0, 2.0], [0.1, 0.5, 0.2])
-    subset = odeb.SelectedSubset(pairs=pairs, n_selected=3, gamma=0.1)
+    subset = odeb.SelectedSubset(pairs=pairs, gamma=0.1)
     full = odeb.FullResponseSummary(n_full=30, mean_y=1.0, var_y=2.0)
-    with pytest.raises(InsufficientData):
+    assert subset.n_selected == 3
+    with pytest.raises(InsufficientData, match=TOO_FEW_SELECTED):
         odeb.estimate(subset, full)
 
 
 def test_estimate_rejects_subset_larger_than_full():
     pairs = PairedSample([0.0, 1.0, 2.0, 3.0], [0.1, 0.5, 0.2, 0.4])
-    subset = odeb.SelectedSubset(pairs=pairs, n_selected=4, gamma=1.0)
+    subset = odeb.SelectedSubset(pairs=pairs, gamma=1.0)
     full = odeb.FullResponseSummary(n_full=3, mean_y=1.0, var_y=2.0)
     with pytest.raises(DomainError):
         odeb.estimate(subset, full)
@@ -146,31 +149,33 @@ def test_estimate_rejects_subset_larger_than_full():
 
 def test_estimate_degenerate_equal_responses():
     pairs = PairedSample([2.0, 2.0, 2.0, 2.0], [0.1, 0.5, 0.2, 0.4])
-    subset = odeb.SelectedSubset(pairs=pairs, n_selected=4, gamma=0.2)
+    subset = odeb.SelectedSubset(pairs=pairs, gamma=0.2)
     full = odeb.FullResponseSummary(n_full=20, mean_y=2.0, var_y=1.0)
     with pytest.raises(DegenerateInput):
         odeb.estimate(subset, full)
 
 
 def test_association_three_points():
+    # the association test is the reverse slope's t-test; three pairs
+    # are too few to estimate but enough to fit and test
     pairs = PairedSample(predictor=[0.0, 1.0, 2.0], response=[1.0, 1.0, 2.0])
-    subset = odeb.SelectedSubset(pairs=pairs, n_selected=3, gamma=0.5)
-    t_stat, p_value = odeb.test_association(subset)
-    assert abs(t_stat - REF_T3) < 1e-12
-    assert abs(p_value - REF_P3) < 1e-12
+    rev = fit_simple(pairs)
+    assert abs(rev.t_stat - REF_T3) < 1e-12
+    assert abs(rev.p_value - REF_P3) < 1e-12
 
 
 def test_association_affine_invariance():
     rng = np.random.default_rng(17)
-    subset, _ = _synthetic_subset(rng)
-    t0, p0 = odeb.test_association(subset)
+    subset, full = _synthetic_subset(rng)
+    base = odeb.estimate(subset, full)
+    t0 = base.reverse_fit.t_stat
     x = subset.pairs.response
     y = subset.pairs.predictor
     for a, b in ((3.0, 0.0), (-2.0, 5.0), (0.04, -1.0)):
         other = odeb.SelectedSubset.from_arrays(a * x + b, y, subset.gamma)
-        t1, p1 = odeb.test_association(other)
-        assert abs(abs(t1) - abs(t0)) < 1e-9
-        assert abs(p1 - p0) < 1e-12
+        est = odeb.estimate(other, full)
+        assert abs(abs(est.reverse_fit.t_stat) - abs(t0)) < 1e-9
+        assert abs(est.p_value - base.p_value) < 1e-12
 
 
 def test_scale_equivariance_of_estimate():
@@ -245,9 +250,9 @@ def test_null_rejection_rate_smoke():
 
 def test_check_model_normal_data():
     rng = np.random.default_rng(41)
-    subset, _ = _synthetic_subset(rng, n_full=10_000, gamma=0.2)
+    subset, full = _synthetic_subset(rng, n_full=10_000, gamma=0.2)
     y_full = rng.normal(0.0, 1.0, 10_000)
-    diag = odeb.check_model(subset, y_full)
+    diag = odeb.check_model(odeb.estimate(subset, full).reverse_fit, y_full)
     arr = np.asarray(diag.response_qq)
     fit = fit_simple(PairedSample(arr[:, 0], arr[:, 1]))
     assert 0.97 <= fit.slope <= 1.03
@@ -265,7 +270,9 @@ def test_check_model_skewed_residuals():
     eps -= math.exp(-1.0135**2)
     x = 0.1 * y + eps
     subset = odeb.SelectedSubset.from_arrays(x, y, 0.2)
-    diag = odeb.check_model(subset, rng.normal(0.0, 3.0, 800))
+    diag = odeb.check_model(
+        fit_simple(subset.pairs), rng.normal(0.0, 3.0, 800)
+    )
     assert diag.residual_skewness > 0.5
 
 

@@ -1,6 +1,7 @@
 """Tests for extreme-subset selection, BH adjustment, and screening."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,16 @@ def test_screen_misaligned_biomarker_rejected():
     table["bm_short"] = np.ones(5)
     with pytest.raises(DomainError, match="bm_short"):
         screen.screen_biomarkers(y, table)
+
+
+@pytest.mark.parametrize(
+    "column", [1.0, np.ones((10, 1))], ids=["scalar", "2-D"]
+)
+def test_screen_biomarker_of_another_shape_named(column):
+    # a DomainError naming both shapes, not an IndexError on shape[0]
+    text = f"'b' has shape {np.shape(column)}; expected (10,)"
+    with pytest.raises(DomainError, match=re.escape(text)):
+        screen.screen_biomarkers(np.arange(10.0), {"b": column})
 
 
 def test_screen_null_family_wise_error_controlled():
