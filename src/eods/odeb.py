@@ -18,6 +18,8 @@ from . import dist, regress
 from ._util import MIN_ESTIMATE_PAIRS, check_gamma
 from .errors import DegenerateInput, DomainError, InsufficientData
 
+RESPONSE_VARIANCE_OVERFLOW = "full response variance is beyond double range"
+
 
 @dataclass
 class FullResponseSummary:
@@ -31,7 +33,7 @@ class FullResponseSummary:
         if self.n_full < 3:
             raise InsufficientData("full response sample must have n >= 3")
         if not math.isfinite(self.var_y):
-            raise DomainError("full response variance is beyond double range")
+            raise DomainError(RESPONSE_VARIANCE_OVERFLOW)
         if not self.var_y > 0.0:
             raise DegenerateInput("full response variance must be positive")
 
@@ -112,8 +114,9 @@ _CONVERSION_UNDEFINED = (
 )
 _SLOPE_VARIANCE_COLLAPSED = "collapsed denominator in the slope variance"
 _FORWARD_OVERFLOW = "forward estimate, SE or interval beyond double range"
-# (error type, text) per flag drop_reasons reads, in the order it reads them
-_DROP_VERDICTS = (
+# an estimate's verdict code indexes this table: FIT_VERDICTS' codes for
+# the reverse fit, then one (error type, text) per later check in order
+DROP_VERDICTS = (
     *regress.FIT_VERDICTS,
     (DomainError, _FORWARD_OVERFLOW),
     (DegenerateInput, _CONVERSION_UNDEFINED),
@@ -248,9 +251,11 @@ def check_selected_count(n_selected):
 class EstimateRows:
     """estimate() for one subset or many: entry i belongs to row i.
 
-    Fields are scalars for one subset and arrays for many. kept marks
-    the rows that have an estimate; the others hold meaningless values,
-    and drop_reasons names why. overflow includes reverse_fit.overflow.
+    Fields are scalars for one subset and arrays for many. verdict is
+    each row's DROP_VERDICTS code, its first failed check, 0 for a row
+    that has an estimate; a nonzero reverse_fit.verdict is the row's
+    code. Rows with a nonzero code hold meaningless values, and
+    drop_reasons names the code's error type and text.
     """
 
     beta_y: np.ndarray
@@ -259,10 +264,7 @@ class EstimateRows:
     se_beta_y: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    overflow: np.ndarray
-    converted: np.ndarray
-    se_defined: np.ndarray
-    kept: np.ndarray
+    verdict: np.ndarray
     reverse_fit: regress.FitRows = field(repr=False)
 
 
@@ -276,8 +278,8 @@ def estimate_rows(
     response moments over n_full rows, shared by every row or one per
     row; var_y must be nonnegative, and a zero-variance row is not
     converted.
-    Argument errors and the slope ceiling raise; per-row failures only
-    clear kept.
+    Argument errors and the slope ceiling raise; a per-row failure only
+    sets its row's verdict.
     """
     if not 0.0 < confidence_level < 1.0:
         raise DomainError(
@@ -304,12 +306,14 @@ def estimate_rows(
     with np.errstate(over="ignore", invalid="ignore"):
         ci_low = beta_y - t_mult * se
         ci_high = beta_y + t_mult * se
-    overflow = rev.overflow | ~(
-        finite & np.isfinite(ci_low) & np.isfinite(ci_high)
+    # the first failed check, in DROP_VERDICTS order
+    finite = finite & np.isfinite(ci_low) & np.isfinite(ci_high)
+    later = np.where(~converted, 4, np.where(~se_defined, 5, 0))
+    verdict = np.where(
+        rev.verdict != 0, rev.verdict, np.where(finite, later, 3)
     )
-    kept = ~rev.degenerate & ~overflow & converted & se_defined
     check_slope_ceiling(
-        np.where(kept, beta_y, 0.0), var_y, rev.residual_variance
+        np.where(verdict == 0, beta_y, 0.0), var_y, rev.residual_variance
     )
     return EstimateRows(
         beta_y=beta_y,
@@ -318,10 +322,7 @@ def estimate_rows(
         se_beta_y=se,
         ci_low=ci_low,
         ci_high=ci_high,
-        overflow=overflow,
-        converted=converted,
-        se_defined=se_defined,
-        kept=kept,
+        verdict=verdict,
         reverse_fit=rev,
     )
 
@@ -329,23 +330,11 @@ def estimate_rows(
 def drop_reasons(rows):
     """Why each row of an EstimateRows has no estimate; None where kept.
 
-    Each row's first _DROP_VERDICTS entry whose flag holds: the error
-    type and text that estimate() raises for the row. A list with one
-    entry per row, one entry for one subset.
+    Each row's DROP_VERDICTS entry: the error type and text that
+    estimate() raises for the row. A list with one entry per row, one
+    entry for one subset.
     """
-    flags = (
-        rows.reverse_fit.degenerate,
-        rows.reverse_fit.overflow,
-        rows.overflow,
-        ~rows.converted,
-        ~rows.se_defined,
-        rows.kept,  # holds exactly where no flag before it does
-    )
-    entries = (*_DROP_VERDICTS, None)
-    return [
-        entries[row.index(True)]
-        for row in zip(*(np.ravel(flag).tolist() for flag in flags))
-    ]
+    return [DROP_VERDICTS[code] for code in np.ravel(rows.verdict).tolist()]
 
 
 def estimate(subset, full, confidence_level=0.95):
@@ -365,10 +354,7 @@ def estimate(subset, full, confidence_level=0.95):
         full.n_full,
         confidence_level,
     )
-    (reason,) = drop_reasons(rows)
-    if reason is not None:
-        error, text = reason
-        raise error(text)
+    regress.raise_verdict(DROP_VERDICTS, rows.verdict)
     rev = rows.reverse_fit.single()
     return OdebEstimate(
         beta_y=float(rows.beta_y),

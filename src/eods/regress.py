@@ -16,11 +16,21 @@ from .errors import DegenerateInput, DomainError
 TOO_FEW_PAIRS = "need at least 3 paired observations"
 ZERO_PREDICTOR_VARIANCE = "predictor has zero sample variance"
 FIT_OVERFLOW = "sums of squares or slope variance beyond double range"
-# (error type, text) per flag that drops a fit: degenerate, then overflow
+# a fit's verdict code indexes this table: 0 is kept, then (error type,
+# text) per failed check in the order they are checked
 FIT_VERDICTS = (
+    None,
     (DegenerateInput, ZERO_PREDICTOR_VARIANCE),
     (DomainError, FIT_OVERFLOW),
 )
+
+
+def raise_verdict(verdicts, code):
+    """Raise the error and text of verdicts[code]; code 0 passes."""
+    entry = verdicts[code]
+    if entry is not None:
+        error, text = entry
+        raise error(text)
 
 
 @dataclass
@@ -71,10 +81,9 @@ class FitRows:
     """Least-squares fits of one sample or of many, one per row.
 
     Fields are scalars for one sample and arrays for many, entry i
-    belonging to row i. A fit whose predictor has zero sample variance
-    is flagged in degenerate, and one whose sums of squares or slope
-    standard error overflow double range in overflow; the other fields
-    of a flagged fit are meaningless.
+    belonging to row i. verdict is each fit's FIT_VERDICTS code, its
+    first failed check, 0 where the fit holds. The other fields of a
+    row with a nonzero code are meaningless.
     """
 
     intercept: np.ndarray
@@ -82,22 +91,17 @@ class FitRows:
     se_slope: np.ndarray
     residual_variance: np.ndarray
     df: int
-    t_stat: np.ndarray  # NaN where degenerate or overflow
-    degenerate: np.ndarray
-    overflow: np.ndarray
+    t_stat: np.ndarray  # NaN where verdict is nonzero
+    verdict: np.ndarray
     sums: tuple  # centered (sxx, syy, sxy)
     residuals: np.ndarray = field(repr=False)
 
     def single(self):
         """The fit of one sample as a FitResult.
 
-        A flagged fit raises its FIT_VERDICTS entry.
+        A fit with a nonzero verdict raises its FIT_VERDICTS entry.
         """
-        for flag, (error, text) in zip(
-            (self.degenerate, self.overflow), FIT_VERDICTS
-        ):
-            if flag:
-                raise error(text)
+        raise_verdict(FIT_VERDICTS, self.verdict)
         sxx, syy, sxy = (float(v) for v in self.sums)
         r_squared = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
         t_stat = float(self.t_stat)
@@ -131,8 +135,8 @@ def fit_rows(predictor, response):
     numpy's pairwise summation, so a row's fit depends neither on the
     other rows nor on evaluation order. No p-value is computed: a caller
     takes one from t_stat with slope_p_value. Values too large to
-    square flag their rows in overflow, one check per row on its sums,
-    and raise no warning.
+    square give their rows the overflow verdict, one check per row on
+    its sums, and raise no warning.
     """
     x, y = np.broadcast_arrays(
         np.asarray(predictor, dtype=float), np.asarray(response, dtype=float)
@@ -142,7 +146,7 @@ def fit_rows(predictor, response):
     # Python-level dispatch, which dominates for one short sample
     total = np.add.reduce
     # an overflow shows as a non-finite sum or standard error, which
-    # flags its row below
+    # sets its row's verdict below
     with np.errstate(over="ignore", invalid="ignore"):
         x_mean = total(x, axis=-1) / n
         y_mean = total(y, axis=-1) / n
@@ -184,7 +188,8 @@ def fit_rows(predictor, response):
     t_stat = np.where(slope > 0.0, math.inf, -math.inf)
     t_stat[slope == 0.0] = 0.0
     np.divide(slope, se_slope, out=t_stat, where=se_slope > 0.0)
-    t_stat[degenerate | overflow] = math.nan
+    verdict = np.where(degenerate, 1, np.where(overflow, 2, 0))
+    t_stat[verdict != 0] = math.nan
     return FitRows(
         intercept=intercept,
         slope=slope,
@@ -192,8 +197,7 @@ def fit_rows(predictor, response):
         residual_variance=residual_variance,
         df=df,
         t_stat=t_stat,
-        degenerate=degenerate,
-        overflow=overflow,
+        verdict=verdict,
         sums=(sxx, syy, sxy),
         residuals=residuals,
     )

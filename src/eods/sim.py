@@ -349,35 +349,35 @@ def _arm(scenario, x_sub, y_sub, moments, first):
 
     x_sub and y_sub are the block's selected rows, first the replicate
     index of its first row and moments the block's full-response (mean,
-    variance), which only the odeb arm reads. A fit, an odeb estimate or
-    a response variance beyond double range raises DomainError, and a
-    subset too small for the estimator InsufficientData. The two-sided t
+    variance), which only the odeb arm reads. A response variance beyond
+    double range, or a row whose first failed check is a DomainError,
+    raises it; a row with any other failed check is dropped. A subset
+    too small for the estimator raises InsufficientData. The two-sided t
     point is solved on the lower tail from alpha_level, so a tiny
     alpha_level keeps its digits. A row rejects the null when |t|
     reaches that point, which is p <= alpha_level for the slope test's
     two-sided p-value.
     """
     if scenario.estimator == "ols":
-        fit = regress.fit_rows(x_sub, y_sub)
-        est, se, kept = fit.slope, fit.se_slope, ~fit.degenerate
-        overflow, reason = fit.overflow, regress.FIT_OVERFLOW
+        rows = fit = regress.fit_rows(x_sub, y_sub)
+        est, se, verdicts = fit.slope, fit.se_slope, regress.FIT_VERDICTS
     else:
         mean_y, var_y = moments
         finite = np.isfinite(var_y)
         if not finite.all():
             raise _beyond_range(
-                first + int(np.argmin(finite)),
-                "full response variance is beyond double range",
+                first + int(np.argmin(finite)), odeb.RESPONSE_VARIANCE_OVERFLOW
             )
         rows = odeb.estimate_rows(y_sub, x_sub, mean_y, var_y, scenario.n_full)
         fit = rows.reverse_fit
-        est, se, kept = rows.beta_y, rows.se_beta_y, rows.kept
-        overflow = rows.overflow
-    if overflow.any():
-        row = int(np.argmax(overflow))
-        if scenario.estimator == "odeb":
-            reason = odeb.drop_reasons(rows)[row][1]
-        raise _beyond_range(first + row, reason)
+        est, se, verdicts = rows.beta_y, rows.se_beta_y, odeb.DROP_VERDICTS
+    # the first row whose verdict is a DomainError stops the scenario;
+    # a row with any other nonzero verdict is dropped
+    for row in np.flatnonzero(rows.verdict).tolist():
+        error, text = verdicts[rows.verdict[row]]
+        if error is DomainError:
+            raise _beyond_range(first + row, text)
+    kept = rows.verdict == 0
     est, se = est[kept], se[kept]
     t_point = -t_quantile(scenario.alpha_level / 2.0, scenario.n_selected - 2)
     # an interval beyond double range is infinite, which _metrics rejects

@@ -321,8 +321,14 @@ def test_drop_verdicts_in_order():
         (DegenerateInput, odeb._SLOPE_VARIANCE_COLLAPSED),
         None,
     ]
-    assert rows.kept.tolist() == [False] * 5 + [True]
-    assert not rows.se_defined[3]
+    assert rows.verdict.tolist() == [1, 2, 3, 4, 5, 0]
+    rev = rows.reverse_fit
+    assert rev.verdict.tolist() == [1, 2, 0, 0, 0, 0]
+    # row 3's slope variance collapses too, behind its conversion verdict
+    _, se_defined = odeb._se_rows(
+        rev.slope, rev.se_slope, rev.residual_variance, var_y, 4, 100
+    )
+    assert not se_defined[3]
     assert odeb.drop_reasons(rows) == want
     for x, y, v, reason in zip(biomarkers, responses, var_y, want):
         subset = odeb.SelectedSubset.from_arrays(x, y, 0.04)
@@ -331,10 +337,15 @@ def test_drop_verdicts_in_order():
             assert odeb.estimate(subset, full).beta_y == rows.beta_y[5]
             continue
         error, text = reason
-        with pytest.raises(error) as info:
-            odeb.estimate(subset, full)
-        assert type(info.value) is error
-        assert str(info.value) == text
+        calls = [lambda: odeb.estimate(subset, full)]
+        if reason in regress.FIT_VERDICTS:
+            # the fit alone raises the same error as the estimate
+            calls.append(lambda: regress.fit_simple(subset.pairs))
+        for call in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error
+            assert str(info.value) == text
 
 
 def test_estimate_rows_flag_a_conversion_beyond_double_range():
@@ -348,9 +359,8 @@ def test_estimate_rows_flag_a_conversion_beyond_double_range():
     x = np.stack([1e-150 * rng.normal(size=40), base])
     mean_y, var_y = odeb.response_moments(y)
     rows = odeb.estimate_rows(y, x, float(mean_y), float(var_y), 40)
-    assert not rows.reverse_fit.overflow.any()
-    assert rows.overflow.tolist() == [False, True]
-    assert rows.kept.tolist() == [True, False]
+    assert rows.reverse_fit.verdict.tolist() == [0, 0]
+    assert rows.verdict.tolist() == [0, 3]
     assert odeb.drop_reasons(rows) == [
         None,
         (DomainError, "forward estimate, SE or interval beyond double range"),

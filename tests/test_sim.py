@@ -695,6 +695,34 @@ def test_overflowing_reverse_fit_fails_the_odeb_arm():
         sim._arm(s, x_sub, y_sub, moments, 5)
 
 
+def test_first_failed_check_decides_stop_or_drop():
+    # every y is alpha_y exactly and x is near double range: each odeb
+    # reverse fit has a zero-variance predictor, which drops the
+    # replicate, though its sums overflow too; the ols fit's sums
+    # overflow, which stops the cell. The odeb cells once stopped,
+    # naming the zero-variance verdict
+    grid = [
+        _scenario(
+            n_full=40, beta_y=0.0, noise_variance=1e-40, x_var=1.7e308,
+            replicates=5, seed=3, sampling=samp, estimator=est,
+        )
+        for samp in ("extreme", "random")
+        for est in ("ols", "odeb")
+    ]
+    rows = sim.run_grid(grid)
+    for r in rows[0::2]:
+        assert r.metrics is None
+        assert r.error == (
+            f"replicate 0: {regress.FIT_OVERFLOW}; the scenario's scales "
+            "are too large"
+        )
+    for r in rows[1::2]:
+        assert r.error is None
+        assert r.metrics.replicates_used == 0
+        metrics = dataclasses.astuple(r.metrics)[:-1]
+        assert all(math.isnan(v) for v in metrics)
+
+
 def test_metrics_beyond_double_range_fail_only_their_cell():
     # every replicate is kept, but the squared errors overflow, and at a
     # tiny alpha_level the intervals too; the cells once wrote rmse inf
