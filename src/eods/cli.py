@@ -1,9 +1,10 @@
 """Command line interface: analyze, plan, screen, simulate, check.
 
 File conventions: input CSVs are comma-separated UTF-8 with a header
-row; missing values are empty fields or "NA". Numeric output uses
-shortest round-trip formatting (up to 17 significant digits) so that
-written values parse back bit-identically and golden files stay stable.
+row, a leading byte order mark dropped; missing values are empty
+fields or "NA". Numeric output uses shortest round-trip formatting (up
+to 17 significant digits) so that written values parse back
+bit-identically and golden files stay stable.
 
 Grid config files are line-oriented `key = v1, v2, ...` pairs with '#'
 comments. List values are allowed for n_full, beta_y, gamma,
@@ -35,6 +36,8 @@ from .errors import (
 )
 
 _MISSING_TOKENS = ("", "NA")
+# NaN for each missing token: dict.get(cell, cell) ahead of float()
+_MISSING_VALUES = dict.fromkeys(_MISSING_TOKENS, math.nan)
 # Cells (rows x picked columns) the loader holds as text and converts at
 # a time. A block bounds the cell text, Python floats and converted rows
 # held beside the study, the only memory an untested row's cells take;
@@ -135,17 +138,19 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
     'id'. log10 transforms each biomarker's tested values.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte order mark of a spreadsheet's "CSV UTF-8"
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from None
     with handle:
-        reader = csv.reader(handle)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(handle))]
         except StopIteration:
             raise SchemaError(f"{path}: empty file, a header row is required")
         except UnicodeDecodeError:
             raise FileError(_not_utf8(path)) from None
+        except csv.Error as exc:
+            raise SchemaError(f"line 1: {exc}") from None
         if len(set(header)) != len(header):
             dup = sorted({h for h in header if header.count(h) > 1})
             raise SchemaError(f"{path}: duplicate column name {dup[0]!r}")
@@ -155,6 +160,11 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
             ]
             if not biomarker_columns:
                 raise SchemaError(f"{path}: no biomarker columns found")
+        if response_column in biomarker_columns:
+            raise DomainError(
+                f"column {response_column!r} is the response; it cannot "
+                "also be a biomarker"
+            )
         columns = [response_column, *dict.fromkeys(biomarker_columns)]
         position = {name: i for i, name in enumerate(header)}
         for name in columns:
@@ -162,7 +172,8 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
                 raise SchemaError(f"{path}: missing column {name!r}")
         try:
             responses, rows, table = _read_blocks(
-                reader, len(header), columns, position
+                handle, len(header), columns,
+                [position[name] for name in columns],
             )
         except UnicodeDecodeError:
             raise FileError(_not_utf8(path)) from None
@@ -175,40 +186,49 @@ def _load_study(path, response_column, biomarker_columns=None, log10=False):
     return Study(responses, rows, biomarkers)
 
 
-def _read_blocks(reader, width, columns, position):
+def _read_blocks(handle, width, columns, picks):
     """The data rows as (responses, rows, table), NaN = missing.
 
-    responses holds every row's response. table, float64 with a column
-    per biomarker in columns[1:], holds the biomarker values of the rows
-    with at least one, at the positions rows. A row whose biomarker
-    cells are all missing, however they are spelled, never enters the
-    table: a study tested on its response tails holds 8 bytes per
-    untested row and nothing per untested cell.
+    handle yields the data lines; picks holds the header positions of
+    columns, the response first, all distinct. responses holds every
+    row's response. table, float64 with a column per biomarker in
+    columns[1:], holds the biomarker values of the rows with at least
+    one, at the positions rows. A row whose biomarker cells are all
+    missing, however they are spelled, never enters the table: a study
+    tested on its response tails holds 8 bytes per untested row and
+    nothing per untested cell.
 
-    Rows are read in blocks of about _BLOCK_VALUES picked cells, each
-    converted by _convert_block. A row of the wrong width raises after
-    the block's earlier rows are parsed, so the first error in file
-    order is the one raised.
+    Lines are read in blocks of about _BLOCK_VALUES picked cells. A
+    plain block, one that str.split reads as csv would, goes to
+    _convert_lines, which keeps its untested lines as text; any other
+    block goes through csv.reader, which also takes the further lines a
+    quoted field spans. A record of the wrong width or with a field over
+    csv's limit raises after the block's earlier records are parsed, so
+    the first error in file order is the one raised.
     """
-    pick = operator.itemgetter(*[position[name] for name in columns])
+    take = _picker(picks)
+    ends = _untested_ends(width, picks)
     block_rows = -(-_BLOCK_VALUES // len(columns))
-    numbered = enumerate(reader, start=2)  # the header is line 1
     responses = np.empty(block_rows)
     rows = np.empty(block_rows, dtype=np.intp)
     table = np.empty((block_rows, len(columns) - 1))
     n_rows = n_tested = 0
     while True:
-        held = []
-        for line_no, row in itertools.islice(numbered, block_rows):
-            if len(row) != width:
-                _parse_rows(held, n_rows + 2, columns)
-                raise SchemaError(
-                    f"line {line_no}: expected {width} fields, got {len(row)}"
-                )
-            held.append(pick(row))
-        if not held:
+        block = list(itertools.islice(handle, block_rows))
+        if not block:
             break
-        y, converted, values = _convert_block(held, n_rows + 2, columns)
+        first_line = n_rows + 2  # the header is line 1
+        if _plain(block, width):
+            y, converted, values = _convert_lines(
+                block, first_line, columns, take, ends, picks[0]
+            )
+        else:
+            records = csv.reader(itertools.chain(block, handle))
+            held = _held_records(records, len(block), first_line, width,
+                                 columns, take)
+            y, converted, values = _convert_block(
+                held, len(columns)
+            ) or _parse_block(held, first_line, columns)
         # read off the values, so an all-NA row is as untested as an
         # all-empty one, whichever path converted it
         tested = ~np.isnan(values).all(axis=1)
@@ -218,6 +238,101 @@ def _read_blocks(reader, width, columns, position):
     for array, n in ((responses, n_rows), (rows, n_tested), (table, n_tested)):
         array.resize((n, *array.shape[1:]), refcheck=False)  # the trim
     return responses, rows, table
+
+
+def _picker(picks):
+    """The fields at picks, in order: one slice when they are adjacent."""
+    if picks == list(range(picks[0], picks[0] + len(picks))):
+        return operator.itemgetter(slice(picks[0], picks[-1] + 1))
+    return operator.itemgetter(*picks)
+
+
+def _untested_ends(width, picks):
+    """The endings of a plain line whose biomarker cells are all empty.
+
+    When the last biomarker is the row's last column and the response
+    comes before the first biomarker, a line whose cells from the first biomarker
+    on are all empty ends in one comma per such cell, then its line
+    terminator, if any. Otherwise no ending is known: str.endswith(())
+    is False, so every line is split and picked.
+    """
+    first = min(picks[1:])
+    if max(picks[1:]) != width - 1 or picks[0] > first:
+        return ()
+    run = "," * (width - first)
+    return tuple(run + end for end in ("", "\n", "\r\n", "\r"))
+
+
+def _plain(block, width):
+    """Whether str.split reads each line of block as csv.reader does.
+
+    It does for a line with no quote and width - 1 commas, and no line
+    longer than csv's field limit can hold a field over it; a longer
+    line goes to csv, which refuses only such a field. A blank line has
+    no field for csv, so it is never plain.
+    """
+    text = "".join(block)  # one search for a quote, not one per line
+    limit = csv.field_size_limit()
+    return (
+        '"' not in text
+        and set(map(str.count, block, itertools.repeat(","))) == {width - 1}
+        and (len(text) <= limit or max(map(len, block)) <= limit)
+    )
+
+
+def _held_records(records, n_records, first_line, width, columns, take):
+    """The picked cells of n_records records, from line first_line on.
+
+    A record of the wrong width, or one csv refuses, raises a
+    SchemaError after the records before it are parsed.
+    """
+    held = []
+    try:
+        for row in itertools.islice(records, n_records):
+            if len(row) != width:
+                error = f"expected {width} fields, got {len(row)}"
+                break
+            held.append(take(row))
+        else:
+            return held
+    except csv.Error as exc:
+        error = str(exc)
+    _parse_rows(held, first_line, columns)
+    raise SchemaError(f"line {first_line + len(held)}: {error}")
+
+
+def _convert_lines(block, first_line, columns, take, ends, at):
+    """The plain lines of block as (responses, converted, values).
+
+    A line that ends in one of ends leaves every biomarker cell empty:
+    it stays text, and only its response, field at, is split off and
+    converted. The other lines are split into fields and picked for
+    _convert_block. If any conversion fails, the whole block is split
+    and goes once through _parse_rows, as _parse_block.
+    """
+    untested = list(map(str.endswith, block, itertools.repeat(ends)))
+    held = [
+        take(line.rstrip("\r\n").split(","))
+        for line in itertools.compress(block, map(operator.not_, untested))
+    ]
+    got = _convert_block(held, len(columns))
+    texts = map(str.split, itertools.compress(block, untested),
+                itertools.repeat(","), itertools.repeat(at + 1))
+    try:
+        responses = list(map(float, map(operator.itemgetter(at), texts)))
+    except ValueError:
+        got = None  # _parse_rows names the cell
+    if got is not None:
+        y_held, converted, values = got
+        mask = np.frombuffer(bytes(untested), bool)
+        others = np.flatnonzero(~mask)
+        y = np.empty(len(block))
+        y[mask] = responses
+        y[others] = y_held
+        if np.isfinite(y).all():
+            return y, others[converted], values
+    held = [take(line.rstrip("\r\n").split(",")) for line in block]
+    return _parse_block(held, first_line, columns)
 
 
 def _put(array, start, values):
@@ -237,27 +352,27 @@ def _put(array, start, values):
     return end
 
 
-def _convert_block(held, first_line, columns):
-    """held's rows, from line first_line on, as (responses, converted, values).
+def _convert_block(held, width):
+    """held's rows as (responses, converted, values), or None.
 
-    responses holds every held row's response. converted holds the
-    positions in held, ascending, of the rows not found untested by
-    their empty cells, and values those rows' biomarker cells, float64
-    and NaN = missing.
+    Each row holds width picked cells, the response first. responses
+    holds every held row's response. converted holds the positions in
+    held, ascending, of the rows not found untested by their empty
+    cells, and values those rows' biomarker cells, float64 and NaN =
+    missing.
 
     A row's count of empty cells sorts it. An untested row, every
     biomarker cell empty, converts only its response, so its biomarker
     cells are never Python floats; a row with no missing token converts
-    in one map(float); any other row goes cell by cell. A failed
-    float(), a non-finite value that is not one of the missing tokens
-    or a missing response sends the whole block once through
-    _parse_rows, which raises the first error in file order, or gives
-    the values when the cause was a padded token such as " NA".
+    in one map(float), any other in one map(float) after a dict maps
+    its missing tokens to NaN. None, for _parse_block to decide, means a
+    failed float(), a non-finite value that is not one of the missing
+    tokens or a missing response: an error, or a padded token such as
+    " NA".
     """
-    width = len(columns)
     # local names: the loop below runs once per row
-    nan = math.nan
-    empty, na = missing = _MISSING_TOKENS
+    empty, na = _MISSING_TOKENS
+    as_nan = _MISSING_VALUES.get
     # the untested rows' indices and responses; the other rows' indices
     # and values, row after row. Extending values by a bare map raised
     # the peak memory of a 2000-column screen by about 3 MiB
@@ -274,21 +389,25 @@ def _convert_block(held, first_line, columns):
             if not n_empty and na not in cells:
                 values += list(map(float, cells))
             else:
-                values += [nan if c in missing else float(c) for c in cells]
+                values += list(map(float, map(as_nan, cells, cells)))
                 n_missing += n_empty + cells.count(na)
     except ValueError:
-        pass  # a padded token, or an error that _parse_rows names
-    else:
-        rows = np.fromiter(values, float, len(values)).reshape(-1, width)
-        y = np.empty(len(held))
-        y[untested] = responses
-        y[converted] = rows[:, 0]
-        # every non-finite value must come from one of the n_missing
-        # missing tokens, and every response must be finite
-        non_finite = rows.size - np.count_nonzero(np.isfinite(rows))
-        if non_finite == n_missing and np.isfinite(y).all():
-            return y, np.array(converted, np.intp), rows[:, 1:]
-    rows = np.reshape(_parse_rows(held, first_line, columns), (-1, width))
+        return None  # a padded token, or an error that _parse_rows names
+    rows = np.fromiter(values, float, len(values)).reshape(-1, width)
+    y = np.empty(len(held))
+    y[untested] = responses
+    y[converted] = rows[:, 0]
+    # every non-finite value must come from one of the n_missing
+    # missing tokens, and every response must be finite
+    non_finite = rows.size - np.count_nonzero(np.isfinite(rows))
+    if non_finite != n_missing or not np.isfinite(y).all():
+        return None
+    return y, np.array(converted, np.intp), rows[:, 1:]
+
+
+def _parse_block(held, first_line, columns):
+    """held's rows through _parse_rows, as _convert_block's triple."""
+    rows = np.reshape(_parse_rows(held, first_line, columns), (-1, len(columns)))
     return rows[:, 0], np.arange(len(held)), rows[:, 1:]
 
 

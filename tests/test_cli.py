@@ -834,6 +834,224 @@ def test_loader_log10_error_names_the_file_line(tmp_path):
     )
 
 
+def _reference_study(path, response, biomarkers=None, log10=False):
+    """A Study read by csv.reader and float() alone, row by row.
+
+    Raises the SchemaError _load_study raises: a record of the wrong
+    width, then per row the response's cell, a missing response and
+    the biomarker cells in order.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = list(csv.reader(fh))
+    header = [h.strip() for h in records[0]]
+    names = biomarkers or [h for h in header if h not in (response, "id")]
+    columns = [response, *names]
+    at = [header.index(name) for name in columns]
+    responses, table = [], []
+    for line_no, record in enumerate(records[1:], start=2):
+        if len(record) != len(header):
+            raise SchemaError(
+                f"line {line_no}: expected {len(header)} fields, "
+                f"got {len(record)}"
+            )
+        values = []
+        for name, i in zip(columns, at):
+            cell = record[i]
+            if cell.strip() in ("", "NA"):
+                values.append(math.nan)
+            else:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise SchemaError(
+                        f"line {line_no}, column {name!r}: cannot parse "
+                        f"{cell!r} as a number"
+                    )
+            if name == response and math.isnan(values[0]):
+                raise SchemaError(
+                    f"line {line_no}: missing response in column "
+                    f"{response!r}"
+                )
+        responses.append(values[0])
+        table.append(values[1:])
+    table = np.array(table).reshape(len(responses), len(names))
+    rows = np.flatnonzero(~np.isnan(table).all(axis=1))
+    table = table[rows]
+    if log10:
+        table = np.array([
+            [v if math.isnan(v) else math.log10(v) for v in row]
+            for row in table.tolist()
+        ]).reshape(table.shape)
+    return np.array(responses), rows, names, table
+
+
+# the rows of each layout: enough to cross a block edge
+_LAYOUTS = {
+    "wide": (300, 3 * -(-cli._BLOCK_VALUES // 301) + 7),
+    "tall": (3, -(-cli._BLOCK_VALUES // 4) + 90),
+}
+
+
+def _differential_study(layout, case):
+    """The text of a study in the layout, altered as case says.
+
+    Every third row is tested, with a value in each biomarker cell; the
+    others leave their biomarker cells empty. The alterations fall past
+    the first block, or also at its end. Returns (text, response,
+    biomarkers, log10).
+    """
+    width, n_rows = _LAYOUTS[layout]
+    rng = np.random.default_rng(len(case) + width)
+    names = [f"bm{j:03d}" for j in range(width)]
+    rows = []
+    for i in range(n_rows):
+        cells = [""] * width
+        if i % 3 == 0:
+            cells = [repr(v) for v in rng.uniform(0.1, 10.0, width).tolist()]
+        rows.append([f"r{i}", repr(0.5 * i - 40.0), *cells])
+    late = n_rows - 5
+    header = ["id", "resp", *names]
+    response, biomarkers, log10, end = "resp", None, False, "\n"
+    if case in ("crlf", "cr"):
+        end = {"crlf": "\r\n", "cr": "\r"}[case]
+    elif case == "quoted_numbers":
+        rows[late - 1][1] = '"3.25"'  # an untested row's response
+        rows[late][2] = '" 1.5"'
+    elif case == "quoted_id_comma":
+        rows[late][0] = '"r, 5"'
+    elif case == "quoted_spanning_lines":
+        # one record ends its block, so csv reads on past the block
+        block_rows = -(-cli._BLOCK_VALUES // (width + 1))
+        rows[block_rows - 1][0] = rows[late][0] = '"r\nfive"'
+    elif case == "missing_tokens":
+        tested = late - late % 3
+        # an empty last cell ends the line in part of an untested run
+        rows[tested][2] = "NA"
+        rows[tested][-1] = ""
+        rows[3][3] = " NA"  # its block goes through _parse_rows
+        rows[tested + 1][2:] = ["NA"] * width
+    elif case == "too_few_fields":
+        rows[late].pop()
+    elif case == "too_many_fields":
+        rows[late].append("1.0")
+    elif case == "response_last":
+        header = ["id", *names, "resp"]
+        rows = [[row[0], *row[2:], row[1]] for row in rows]
+    elif case == "non_adjacent_pick":
+        biomarkers = [names[2], names[0]]
+    elif case == "log10":
+        log10 = True
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    if case == "blank_line":
+        lines.insert(late, "")
+    text = end.join(lines) + end
+    if case == "blank_line_at_end":
+        text += end
+    return text, response, biomarkers, log10
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize(
+    "case",
+    [
+        "lf", "crlf", "cr", "blank_line", "blank_line_at_end",
+        "quoted_numbers", "quoted_id_comma", "quoted_spanning_lines",
+        "missing_tokens", "too_few_fields", "too_many_fields",
+        "response_last", "non_adjacent_pick", "log10",
+    ],
+)
+def test_loader_matches_a_csv_reader_reference(tmp_path, layout, case):
+    # the loader's text path and csv path against csv.reader and float():
+    # the same arrays, bit for bit, or the same first error
+    text, response, biomarkers, log10 = _differential_study(layout, case)
+    path = tmp_path / "study.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = _reference_study(path, response, biomarkers, log10)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            cli._load_study(str(path), response, biomarkers, log10)
+        assert str(got.value) == str(exc)
+        return
+    responses, rows, names, table = want
+    study = cli._load_study(str(path), response, biomarkers, log10)
+    assert study.responses.tobytes() == responses.tobytes()
+    assert study.rows.tolist() == rows.tolist()
+    assert list(study.biomarkers) == names
+    got = np.column_stack(list(study.biomarkers.values()))
+    assert got.tobytes() == table.tobytes()
+
+
+def test_loader_reads_a_bom_file_as_without_it(tmp_path):
+    # a spreadsheet's "CSV UTF-8" starts with a byte order mark
+    plain = tmp_path / "plain.csv"
+    bom = tmp_path / "bom.csv"
+    shutil.copy(GOLDEN_STUDY, plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = cli._load_study(str(plain), "resp")
+    got = cli._load_study(str(bom), "resp")
+    assert got.responses.tobytes() == want.responses.tobytes()
+    assert got.rows.tolist() == want.rows.tolist()
+    assert list(got.biomarkers) == list(want.biomarkers)
+    for name, column in want.biomarkers.items():
+        assert got.biomarkers[name].tobytes() == column.tobytes()
+    outputs = []
+    for path in (plain, bom):
+        out = tmp_path / f"{path.stem}_screen.csv"
+        assert main(["screen", "--input", str(path), "--response", "resp",
+                     "--out", str(out)]) == 0
+        prefix = str(tmp_path / f"{path.stem}_analyze")
+        assert main(["analyze", "--input", str(path), "--response", "resp",
+                     "--biomarker", "bm1", "--out", prefix]) == 0
+        outputs.append([
+            out.read_bytes(),
+            *(open(prefix + suffix, "rb").read() for suffix in (
+                "_qq_response.csv", "_qq_residuals.csv"))
+        ])
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("quoted", [True, False])
+def test_loader_field_over_csv_limit_is_a_schema_error(tmp_path, capsys,
+                                                        quoted):
+    # csv.reader refuses a field longer than its limit; a quoted line
+    # and a plain one both report it as the line's error
+    limit = csv.field_size_limit()
+    cell = "x" * (limit + 1)
+    if quoted:
+        cell = f'"{cell}"'
+    path = tmp_path / "long.csv"
+    path.write_text(f"id,resp,bm\na,1.0,2.0\n{cell},2.0,3.0\n")
+    for command in (["screen"], ["analyze", "--biomarker", "bm"]):
+        argv = [command[0], "--input", str(path), "--response", "resp"]
+        assert main(argv + command[1:]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: field larger than field limit ({limit})\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["screen", "--biomarkers", "resp,bm1"],
+        ["analyze", "--biomarker", "resp"],
+        ["check", "--biomarker", "resp"],
+    ],
+)
+def test_response_column_refused_as_a_biomarker(tmp_path, capsys, command):
+    # screened against itself, the response would read estimate 1.0
+    # and p 0.0, a discovery
+    argv = [command[0], "--input", GOLDEN_STUDY, "--response", "resp",
+            "--out", str(tmp_path / "out")]
+    assert main(argv + command[1:]) == 2
+    assert capsys.readouterr().err == (
+        "error: column 'resp' is the response; it cannot also be a "
+        "biomarker\n"
+    )
+    with pytest.raises(DomainError):
+        cli._load_study(GOLDEN_STUDY, "resp", ["resp"])
+
+
 @pytest.mark.parametrize("command", ["analyze", "screen", "check"])
 def test_response_variance_overflow_rejected(tmp_path, capsys, command):
     # the suite turns RuntimeWarning into an error, so none may leak
