@@ -460,6 +460,14 @@ def _warn_if_not_extreme(inside, label):
         )
 
 
+def _open_out(path):
+    """An output file opened for writing; one that cannot be is a FileError."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise FileError(f"cannot write {path}: {exc}") from None
+
+
 def _write_qq(prefix, diag):
     """Write check_model's two QQ series under prefix; return the paths."""
     paths = (f"{prefix}_qq_response.csv", f"{prefix}_qq_residuals.csv")
@@ -468,7 +476,7 @@ def _write_qq(prefix, diag):
     # joined string would raise the peak memory by about its size twice;
     # every value is a finite float, so repr is _fmt's text
     for path, series in zip(paths, (diag.response_qq, diag.residual_qq)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(path) as fh:
             fh.write("theoretical_quantile,observed_value\n")
             fh.writelines(f"{tq!r},{ov!r}\n" for tq, ov in series)
     return paths
@@ -513,7 +521,7 @@ def cmd_analyze(args):
         report_path = f"{args.out}_report.csv"
         diag = odeb.check_model(est.reverse_fit, study.responses)
         qq_response, qq_residuals = _write_qq(args.out, diag)
-        with open(report_path, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(report_path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["key", "value"])
             for key, value in (
@@ -653,7 +661,7 @@ def cmd_screen(args):
         for row in table
     ]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             csv.writer(fh, lineterminator="\n").writerows(csv_rows)
         discoveries = sum(
             1
@@ -790,7 +798,7 @@ def cmd_simulate(args):
         ]
     results = sim.run_grid(scenarios, workers=args.workers)
     metrics = [f.name for f in dataclasses.fields(sim.SimMetrics)]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*_SIM_COLUMNS, *metrics, "error"])
         for row in results:

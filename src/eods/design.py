@@ -116,11 +116,8 @@ def power_eods(spec):
     """Power of the extreme-sampling design described by spec."""
     df2 = spec.n_selected - 2
     vif = variance_inflation(spec.gamma)
-    try:
-        f2 = spec.effect_f**2
-    except OverflowError:  # an infinite ncp: power 1
-        f2 = math.inf
-    ncp = spec.n_full * f2 * spec.gamma * vif
+    # a product that overflows is inf, and an infinite ncp has power 1
+    ncp = spec.n_full * (spec.effect_f * spec.effect_f) * spec.gamma * vif
     power = _slope_test_power(spec.alpha, df2, ncp)
     return PowerResult(
         power=power, ncp=ncp, df1=1, df2=df2, variance_inflation=vif

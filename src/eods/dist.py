@@ -3,7 +3,9 @@
 Normal pdf/cdf/quantile, Student-t cdf/quantile, noncentral-F cdf, the
 regularized incomplete beta function, and the second moment of a
 truncated standard-normal tail. Everything here is a pure function of
-its arguments; no global state.
+its arguments; no global state. The incomplete beta's front factor
+x^a (1 - x)^b / B(a, b) has one home, `_log_front`, shared by the t cdf
+and the noncentral F's central and modal terms.
 
 Accuracy targets: cdfs to about 1e-12 absolute, quantiles to 1e-10,
 noncentral-F series truncated when the remaining Poisson mass drops
@@ -115,12 +117,23 @@ def _betacf(a, b, x):
     )
 
 
+def _log_front(a, b, x, y):
+    """log(x^a y^b / B(a, b)) at y = 1 - x; log(1 - x) is log(y) once x > y."""
+    return (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * (math.log1p(-x) if x <= y else math.log(y))
+    )
+
+
 def _ibeta(a, b, x, y):
     """I_x(a, b), with y = 1 - x formed by the caller apart from x.
 
     Where x rounds next to 1, y keeps the digits that 1 - x would lose:
-    log(1 - x) is log(y) once x > y, and the continued fraction above
-    the mean runs on y. y is not read when x is 0.
+    the front factor reads it (see `_log_front`), and the continued
+    fraction above the mean runs on y. y is not read when x is 0.
     """
     if a <= 0 or b <= 0:
         raise DomainError("beta parameters must be positive")
@@ -130,14 +143,7 @@ def _ibeta(a, b, x, y):
         return 0.0
     if y == 0.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * (math.log1p(-x) if x <= y else math.log(y))
-    )
-    front = math.exp(ln_front)
+    front = math.exp(_log_front(a, b, x, y))
     # The continued fraction converges fast only on one side of the
     # mean; use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise.
     if x < (a + 1.0) / (a + b + 2.0):
@@ -285,9 +291,9 @@ def f_cdf_noncentral(x, params):
         return 0.0
     d1, d2, lam = params.df1, params.df2, params.ncp
     y = d1 * x / (d1 * x + d2)
-    if lam == 0.0:
-        return regularized_incomplete_beta(d1 / 2, d2 / 2, y)
     one_minus_y = d2 / (d1 * x + d2)
+    if lam == 0.0:
+        return _ibeta(d1 / 2, d2 / 2, y, one_minus_y)
     if one_minus_y <= 0.0:
         return 1.0
     half = 0.5 * lam
@@ -295,23 +301,14 @@ def f_cdf_noncentral(x, params):
         return _cdf_beyond_series(x, d1, d2, lam)
     a0 = 0.5 * d1
     b = 0.5 * d2
-    ln_y = math.log(y)
-    ln_1my = math.log(one_minus_y)
 
     j0 = int(half)
     # Poisson weight, beta value, and beta increment at the mode.
     ln_w = j0 * math.log(half) - half - math.lgamma(j0 + 1)
     w_mode = math.exp(ln_w)
     a_mode = a0 + j0
-    i_mode = regularized_incomplete_beta(a_mode, b, y)
-    ln_t = (
-        math.lgamma(a_mode + b)
-        - math.lgamma(a_mode + 1.0)
-        - math.lgamma(b)
-        + a_mode * ln_y
-        + b * ln_1my
-    )
-    t_mode = math.exp(ln_t)
+    i_mode = _ibeta(a_mode, b, y, one_minus_y)
+    t_mode = math.exp(_log_front(a_mode, b, y, one_minus_y)) / a_mode
 
     total = w_mode * i_mode
     cum_w = w_mode

@@ -930,6 +930,12 @@ def _differential_study(layout, case):
         rows[tested][-1] = ""
         rows[3][3] = " NA"  # its block goes through _parse_rows
         rows[tested + 1][2:] = ["NA"] * width
+    elif case in ("quoted_padded_na", "quoted_bad_cell"):
+        # a quote sends the block through csv.reader, and the cell fails
+        # _convert_block, so _parse_block reads it
+        tested = late - late % 3
+        rows[tested][0] = '"r q"'
+        rows[tested][3] = " NA" if case == "quoted_padded_na" else "1.5x"
     elif case == "too_few_fields":
         rows[late].pop()
     elif case == "too_many_fields":
@@ -956,8 +962,9 @@ def _differential_study(layout, case):
     [
         "lf", "crlf", "cr", "blank_line", "blank_line_at_end",
         "quoted_numbers", "quoted_id_comma", "quoted_spanning_lines",
-        "missing_tokens", "too_few_fields", "too_many_fields",
-        "response_last", "non_adjacent_pick", "log10",
+        "missing_tokens", "quoted_padded_na", "quoted_bad_cell",
+        "too_few_fields", "too_many_fields", "response_last",
+        "non_adjacent_pick", "log10",
     ],
 )
 def test_loader_matches_a_csv_reader_reference(tmp_path, layout, case):
@@ -1416,6 +1423,21 @@ def test_plan_huge_effect_ends_within_time(effect):
     )
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, answer",
+    [
+        (["--n-full", "200", "--gamma", "0.2"],
+         "select 40 (20 per tail), power 1.0000"),
+        (["--gamma", "0.2", "--target-power", "0.9"], "n_full 18"),
+        (["--n-full", "200", "--target-power", "0.9"], "gamma 0.02"),
+    ],
+)
+def test_plan_overflowing_effect_squared_has_power_one(capsys, args, answer):
+    # effect_f * effect_f overflows to inf, an infinite ncp, so power 1
+    assert main(["plan", "--effect-f", "1e200", *args]) == 0
+    assert answer in capsys.readouterr().out.splitlines()
 
 
 def test_plan_tiny_gamma_infeasible_within_time():
@@ -2075,6 +2097,8 @@ def test_simulate_config_errors(tmp_path, capsys):
         (base.replace("seed = 7\n", ""), "missing required key"),
         (base + "nonsense line\n", "expected 'key = value'"),
         (base + "x_var = soft\n", "cannot parse"),
+        (base.replace("beta_y = 0\n", "beta_y = \n"),
+         "line 2: empty value for key 'beta_y'"),
         (base.replace("gamma = 0.2", "gamma = 1.5"), "gamma"),
         (
             base + "residual_family = scaled_t(10)\nt_df = 20\n",
@@ -2295,6 +2319,111 @@ def test_check_default_prefix_from_input_name(tmp_path, monkeypatch):
     assert code == 0
     assert os.path.exists("study_check_qq_response.csv")
     assert os.path.exists("study_check_qq_residuals.csv")
+
+
+# ------------------------------------------------------------- refusals
+
+
+def _small_grid(path):
+    _write_config(
+        path,
+        "n_full = 40\nbeta_y = 0.4\ngamma = 0.2\nsampling = extreme\n"
+        "estimator = odeb\nreplicates = 20\nseed = 3\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "check", "screen", "simulate"])
+def test_unwritable_out_is_a_file_error(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "x")
+    if command == "simulate":
+        cfg = tmp_path / "grid.cfg"
+        _small_grid(cfg)
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = [command, "--input", GOLDEN_STUDY, "--response", "resp"]
+        if command != "screen":
+            argv += ["--biomarker", "bm1"]
+    assert main([*argv, "--out", out]) == 2
+    # the first file each command opens: the QQ series, or the one table
+    first = f"{out}_qq_response.csv" if command in ("analyze", "check") else out
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {first}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        ("", "screen", "empty file, a header row is required"),
+        ("id,resp,bm,bm\na,1.0,2.0,3.0\n", "screen",
+         "duplicate column name 'bm'"),
+        ("id,resp\na,1.0\n", "screen", "no biomarker columns found"),
+        ("id,resp,bm\n", "screen", "no data rows"),
+        ("id,resp,bm\n", "analyze", "no data rows"),
+    ],
+    ids=["empty", "duplicate", "no-biomarker", "header-only-screen",
+         "header-only-analyze"],
+)
+def test_study_layout_refused(tmp_path, capsys, text, command, message):
+    path = tmp_path / "study.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--input", str(path), "--response", "resp"]
+    if command == "analyze":
+        argv += ["--biomarker", "bm"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_screen_empty_biomarker_name_refused(capsys):
+    argv = ["screen", "--input", GOLDEN_STUDY, "--response", "resp",
+            "--biomarkers", "bm1,,bm2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --biomarkers contains an empty column name\n"
+    )
+
+
+def test_simulate_missing_config_refused(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {cfg}: ")
+    assert not out.exists()
+
+
+def test_simulate_zero_workers_refused(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    _small_grid(cfg)
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out),
+            "--workers", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"
+    assert not out.exists()
+
+
+def test_check_skewed_biomarker_noise_raises_residual_flag(tmp_path, capsys):
+    # normal responses, lognormal noise on the tail-tested biomarker: the
+    # reverse fit's residuals are skewed, the response is not
+    rng = np.random.default_rng(57)
+    n = 800
+    y = rng.normal(0.0, 1.0, n)
+    order = np.argsort(y)
+    tested = set(map(int, np.concatenate([order[:80], order[-80:]])))
+    rows = []
+    for i in range(n):
+        bm = ""
+        if i in tested:
+            bm = repr(float(0.5 * y[i] + rng.lognormal(0.0, 1.0)))
+        rows.append([f"r{i}", repr(float(y[i])), bm])
+    path = tmp_path / "skewed.csv"
+    _write_study(path, rows)
+    argv = ["check", "--input", str(path), "--response", "resp",
+            "--biomarker", "bm", "--out", str(tmp_path / "chk")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "flag: reverse-fit residual skewness magnitude exceeds 0.5" in out
+    assert "flag: response skewness magnitude exceeds 0.5" not in out
 
 
 # ------------------------------------------------------------- console

@@ -837,3 +837,25 @@ def test_overflowing_effect_fails_only_its_own_cells():
     for r in rows[:4]:
         assert r.error is None
         assert r.metrics == sim.run_scenario(r.scenario)
+
+
+def test_stopped_cells_leave_their_group_running_unchanged(monkeypatch):
+    # two 409- and 91-replicate blocks: a y beyond range stops the 1e308
+    # effect in block 0, and 3 selected pairs stop the gamma 0.075 odeb
+    # subset, so block 1 skips an effect and a subset that no longer run
+    monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 2**14)
+
+    def cell(beta_y=0.4, estimator="odeb", gamma=0.2):
+        return _scenario(n_full=40, beta_y=beta_y, gamma=gamma,
+                         estimator=estimator, replicates=500, seed=11)
+
+    running = [cell(), cell(estimator="ols"), cell(estimator="ols", gamma=0.5)]
+    stopped = [cell(beta_y=1e308, estimator="ols"), cell(gamma=0.075)]
+    rows = sim.run_grid(running + stopped)
+    assert "replicate 0 draws values beyond double range" in rows[3].error
+    assert "need at least 4 selected pairs for variance inference" in (
+        rows[4].error
+    )
+    alone = sim.run_grid(running)
+    assert [r.metrics for r in rows[:3]] == [r.metrics for r in alone]
+    assert all(r.error is None for r in rows[:3])
