@@ -15,14 +15,14 @@ MIN_ESTIMATE_PAIRS = 4
 
 
 def round_half_away_from_zero(x):
-    """Round to the nearest integer; ties (x.5) go away from zero.
+    """Round x >= 0 to the nearest integer; ties (x.5) go up, away from zero.
 
     Python's built-in round() rounds half to even, which would make the
-    selected-subset size depend on parity in a surprising way.
+    selected-subset size depend on parity in a surprising way. Every
+    caller passes gamma * n with gamma checked by check_gamma and n a
+    size, so x is never negative.
     """
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
+    return int(math.floor(x + 0.5))
 
 
 def selected_count(gamma, n):

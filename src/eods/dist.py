@@ -11,17 +11,21 @@ Accuracy targets: cdfs to about 1e-12 absolute, quantiles to 1e-10,
 noncentral-F series truncated when the remaining Poisson mass drops
 below 1e-12. The t cdf meets its target at every t up to df 1000;
 at df 1e4 it is about 4e-12 off, and at 1e6 about 3e-10. The normal
-quantile is Wichura's AS 241 (Applied Statistics 37, 1988) from the
-standard library; the Student-t quantile is the only one solved
-iteratively, by safeguarded Newton steps from Hill's start (CACM
-Algorithm 396, 1970) on its lower tail, an upper quantile being the
-negated lower one.
+quantile is Wichura's AS 241 (Applied Statistics 37, 1988), the
+rational approximation behind the standard library's
+`NormalDist.inv_cdf`, with its coefficients and its order of
+operations, so the two agree bit for bit. `_horner` evaluates the
+table on a float or in place on an ndarray, which lets a caller that
+holds a whole array of probabilities (`regress.qq_points`) use it
+while this module imports no NumPy. The Student-t quantile is the only
+one solved iteratively, by safeguarded Newton steps from Hill's start
+(CACM Algorithm 396, 1970) on its lower tail, an upper quantile being
+the negated lower one.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 
 from .errors import DomainError
 
@@ -41,7 +45,6 @@ _POISSON_MAX_TERMS = 10**6
 _SERIES_MAX_HALF = 2.0**40
 _QUANTILE_XTOL = 1e-12
 _QUANTILE_MAX_ITER = 100
-_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,93 @@ def norm_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+# AS 241's three rational approximations, highest power first, as the
+# standard library's statistics module holds them. The central one is
+# q P(r) / Q(r) at r = 0.180625 - q^2 for |q| = |p - 1/2| <= 0.425;
+# each tail one is P(s) / Q(s) at s = sqrt(-log(min(p, 1 - p))) - shift.
+AS241_CENTRAL_HALF_WIDTH = 0.425
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+     6.7265770927008700853e+4, 4.5921953931549871457e+4,
+     1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+     3.9307895800092710610e+4, 2.1213794301586595867e+4,
+     5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+# (shift, P, Q) for s <= 5, then for s > 5
+AS241_NEAR_TAIL = (
+    1.6,
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2,
+     2.4178072517745061177e-1, 1.2704582524523683826e+0,
+     3.6478483247632045265e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444169232e-9, 5.4759380849953449460e-4,
+     1.5198666563616457197e-2, 1.4810397642748007459e-1,
+     6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+AS241_FAR_TAIL = (
+    5.0,
+    (2.0103343992922881326e-7, 2.7115555687434875781e-5,
+     1.2426609473880784386e-3, 2.6532189526576123093e-2,
+     2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+     1.8463183175100546818e-5, 7.8686913114561325910e-4,
+     1.4875361290850615025e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _horner(coefficients, r):
+    """The polynomial with these coefficients (highest power first) at r.
+
+    r is a float or an ndarray. On an ndarray the sum is accumulated in
+    place in one new array, so a long r costs one temporary, not one
+    per coefficient; the operations, and so the rounding, are those of
+    the nested expression ((c0 r + c1) r + ...) + cn.
+    """
+    acc = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefficients[-1]
+    return acc
+
+
+def as241_central(q):
+    """AS 241's x at q = p - 1/2 for |q| <= 0.425; q a float or ndarray."""
+    r = 0.180625 - q * q
+    numerator, denominator = _AS241_CENTRAL
+    return _horner(numerator, r) * q / _horner(denominator, r)
+
+
+def as241_tail(s, table):
+    """AS 241's |x| at s = sqrt(-log(min(p, 1 - p))), s a float or ndarray.
+
+    table is AS241_NEAR_TAIL where s <= 5 and AS241_FAR_TAIL beyond.
+    """
+    shift, numerator, denominator = table
+    s = s - shift
+    return _horner(numerator, s) / _horner(denominator, s)
+
+
 def norm_quantile(p):
-    """Lower quantile of the standard normal: x with norm_cdf(x) = p."""
+    """Lower quantile of the standard normal: x with norm_cdf(x) = p.
+
+    AS 241 in pure Python; equal, bit for bit, to the standard library's
+    NormalDist().inv_cdf(p).
+    """
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")
-    return _STANDARD_NORMAL.inv_cdf(p)
+    q = p - 0.5
+    if abs(q) <= AS241_CENTRAL_HALF_WIDTH:
+        return as241_central(q)
+    s = math.sqrt(-math.log(p if q < 0.0 else 1.0 - p))
+    x = as241_tail(s, AS241_NEAR_TAIL if s <= 5.0 else AS241_FAR_TAIL)
+    return -x if q < 0.0 else x
 
 
 def _betacf(a, b, x):
@@ -285,17 +370,21 @@ def f_cdf_noncentral(x, params):
     terms left cannot change the sum; one that would need more than
     10^6 terms raises DomainError. An ncp beyond 2^41, infinity
     included, is answered by a tail bound when the cdf is 0 to double
-    precision, and raises DomainError otherwise.
+    precision, and raises DomainError otherwise. x = +inf gives 1 at
+    every ncp; a NaN x raises DomainError.
     """
+    if math.isnan(x):
+        raise DomainError(f"noncentral F cdf needs a number x, got {x!r}")
     if x <= 0.0:
         return 0.0
     d1, d2, lam = params.df1, params.df2, params.ncp
     y = d1 * x / (d1 * x + d2)
     one_minus_y = d2 / (d1 * x + d2)
+    if one_minus_y <= 0.0:
+        # d1 x is infinite, x = inf included, where y reads inf / inf
+        return 1.0
     if lam == 0.0:
         return _ibeta(d1 / 2, d2 / 2, y, one_minus_y)
-    if one_minus_y <= 0.0:
-        return 1.0
     half = 0.5 * lam
     if half > _SERIES_MAX_HALF:
         return _cdf_beyond_series(x, d1, d2, lam)

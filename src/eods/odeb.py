@@ -375,10 +375,12 @@ class ModelDiagnostics:
 
     response_qq checks that the response itself is normal; residual_qq
     checks that the biomarker is normal conditional on the response.
+    Each is regress.qq_points' (n, 2) array of (theoretical_quantile,
+    ordered_value) rows.
     """
 
-    response_qq: list
-    residual_qq: list
+    response_qq: np.ndarray
+    residual_qq: np.ndarray
     response_skewness: float
     response_excess_kurtosis: float
     residual_skewness: float

@@ -42,7 +42,6 @@ responses the lower original index wins.
 import dataclasses
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -587,6 +586,10 @@ def run_grid(scenarios, workers=1):
     if workers == 1 or len(groups) == 1:
         group_outcomes = [_run_group(g) for g in groups]
     else:
+        # imported here: the pool's modules cost start-up time and
+        # memory that a single-process run would pay for nothing
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(workers, len(groups))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             group_outcomes = list(pool.map(_run_group, groups))

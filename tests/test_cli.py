@@ -1966,6 +1966,22 @@ def test_simulate_imports_no_numpy_ma(tmp_path):
     assert len(rows) == 5 and all(row[-1] == "" for row in rows[1:])
 
 
+def test_import_loads_no_pool_or_statistics():
+    # the process pool is imported by simulate --workers > 1 alone, and
+    # the normal quantile needs no statistics module
+    child = (
+        "import sys\n"
+        "import eods.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
+        " 'statistics', 'decimal', 'fractions') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_simulate_single_cell_matches_run_scenario(tmp_path):
     cfg = tmp_path / "one.cfg"
     _write_config(

@@ -7,6 +7,7 @@ the tail sweeps call SciPy directly.
 
 import math
 import random
+import statistics
 
 import pytest
 import scipy.special
@@ -68,6 +69,23 @@ def test_norm_quantile_matches_ndtri():
         want = float(scipy.special.ndtri(p))
         got = dist.norm_quantile(p)
         assert abs(got - want) <= TOL_NORM_Q_REL * abs(want), (p, got, want)
+
+
+def test_norm_quantile_equals_inv_cdf():
+    # the AS 241 table and its order of operations are the standard
+    # library's, so the two agree exactly, region edges included
+    inv_cdf = statistics.NormalDist().inv_cdf
+    n = 20000
+    ps = [(i - 0.5) / n for i in range(1, n + 1)]
+    ps += [10.0**-k for k in range(1, 301)]
+    ps += [1.0 - 10.0**-k for k in range(1, 16)]
+    ps += [0.5 - dist.AS241_CENTRAL_HALF_WIDTH, 0.5 + dist.AS241_CENTRAL_HALF_WIDTH]
+    rng = random.Random(241)
+    ps += [rng.random() for _ in range(200_000)]
+    ps = [p for p in ps if 0.0 < p < 1.0]
+    assert len(ps) > 220_000
+    mismatched = [p for p in ps if dist.norm_quantile(p) != inv_cdf(p)]
+    assert mismatched == []
 
 
 def test_norm_quantile_domain():
@@ -280,6 +298,16 @@ def test_ncf_at_zero_and_below():
     p = dist.NoncentralFParams(1, 18, 5.0)
     assert dist.f_cdf_noncentral(0.0, p) == 0.0
     assert dist.f_cdf_noncentral(-1.0, p) == 0.0
+
+
+@pytest.mark.parametrize("ncp", [0.0, 5.0, 1e13])
+def test_ncf_at_infinite_and_nan_x(ncp):
+    p = dist.NoncentralFParams(1, 3, ncp)
+    assert dist.f_cdf_noncentral(math.inf, p) == 1.0
+    # d1 x past double range reads as x = inf, not as y = inf / inf
+    assert dist.f_cdf_noncentral(1e308, dist.NoncentralFParams(10, 3, ncp)) == 1.0
+    with pytest.raises(DomainError, match="number x, got nan"):
+        dist.f_cdf_noncentral(math.nan, p)
 
 
 def test_ncf_monotone_in_x_and_ncp():

@@ -218,6 +218,17 @@ def test_qq_points_ordered_and_guarded():
         qq_points([1.0, 2.0])
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 2000, 20000, 200001])
+def test_qq_points_equal_the_scalar_quantile(n):
+    # the array evaluation of AS 241 matches dist.norm_quantile bit for bit
+    values = np.random.default_rng(n).normal(size=n)
+    pts = qq_points(values)
+    assert pts.shape == (n, 2) and pts.dtype == np.float64
+    want = [dist.norm_quantile((i - 0.5) / n) for i in range(1, n + 1)]
+    assert pts[:, 0].tolist() == want
+    assert pts[:, 1].tolist() == sorted(values.tolist())
+
+
 def test_qq_slope_near_one_for_normal_draws():
     rng = np.random.default_rng(43)
     pts = qq_points(rng.normal(size=10_000))
