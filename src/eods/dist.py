@@ -14,13 +14,13 @@ at df 1e4 it is about 4e-12 off, and at 1e6 about 3e-10. The normal
 quantile is Wichura's AS 241 (Applied Statistics 37, 1988), the
 rational approximation behind the standard library's
 `NormalDist.inv_cdf`, with its coefficients and its order of
-operations, so the two agree bit for bit. `_horner` evaluates the
-table on a float or in place on an ndarray, which lets a caller that
-holds a whole array of probabilities (`regress.qq_points`) use it
-while this module imports no NumPy. The Student-t quantile is the only
-one solved iteratively, by safeguarded Newton steps from Hill's start
-(CACM Algorithm 396, 1970) on its lower tail, an upper quantile being
-the negated lower one.
+operations, so the two agree bit for bit. `norm_quantiles` evaluates
+the same table over an ndarray of probabilities, bit for bit equal to
+`norm_quantile` per element (`regress.qq_points` calls it); it imports
+NumPy when called, so this module imports none. The Student-t
+quantile is the only one solved iteratively, by safeguarded Newton
+steps from Hill's start (CACM Algorithm 396, 1970) on its lower tail,
+an upper quantile being the negated lower one.
 """
 
 import math
@@ -75,8 +75,10 @@ def norm_cdf(x):
 # AS 241's three rational approximations, highest power first, as the
 # standard library's statistics module holds them. The central one is
 # q P(r) / Q(r) at r = 0.180625 - q^2 for |q| = |p - 1/2| <= 0.425;
-# each tail one is P(s) / Q(s) at s = sqrt(-log(min(p, 1 - p))) - shift.
-AS241_CENTRAL_HALF_WIDTH = 0.425
+# each tail one is P(s) / Q(s) at s = sqrt(-log(min(p, 1 - p))) - shift,
+# the near one for s <= 5 and the far one beyond.
+_AS241_CENTRAL_HALF_WIDTH = 0.425
+_AS241_TAIL_SPLIT = 5.0
 _AS241_CENTRAL = (
     (2.5090809287301226727e+3, 3.3430575583588128105e+4,
      6.7265770927008700853e+4, 4.5921953931549871457e+4,
@@ -87,8 +89,8 @@ _AS241_CENTRAL = (
      5.3941960214247511077e+3, 6.8718700749205790830e+2,
      4.2313330701600911252e+1, 1.0),
 )
-# (shift, P, Q) for s <= 5, then for s > 5
-AS241_NEAR_TAIL = (
+# (shift, P, Q)
+_AS241_NEAR_TAIL = (
     1.6,
     (7.7454501427834140764e-4, 2.2723844989269184583e-2,
      2.4178072517745061177e-1, 1.2704582524523683826e+0,
@@ -99,7 +101,7 @@ AS241_NEAR_TAIL = (
      6.8976733498510000455e-1, 1.6763848301838038494e+0,
      2.0531916266377588219e+0, 1.0),
 )
-AS241_FAR_TAIL = (
+_AS241_FAR_TAIL = (
     5.0,
     (2.0103343992922881326e-7, 2.7115555687434875781e-5,
      1.2426609473880784386e-3, 2.6532189526576123093e-2,
@@ -128,17 +130,17 @@ def _horner(coefficients, r):
     return acc
 
 
-def as241_central(q):
+def _as241_central(q):
     """AS 241's x at q = p - 1/2 for |q| <= 0.425; q a float or ndarray."""
     r = 0.180625 - q * q
     numerator, denominator = _AS241_CENTRAL
     return _horner(numerator, r) * q / _horner(denominator, r)
 
 
-def as241_tail(s, table):
+def _as241_tail(s, table):
     """AS 241's |x| at s = sqrt(-log(min(p, 1 - p))), s a float or ndarray.
 
-    table is AS241_NEAR_TAIL where s <= 5 and AS241_FAR_TAIL beyond.
+    table is _AS241_NEAR_TAIL where s <= 5 and _AS241_FAR_TAIL beyond.
     """
     shift, numerator, denominator = table
     s = s - shift
@@ -154,11 +156,43 @@ def norm_quantile(p):
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")
     q = p - 0.5
-    if abs(q) <= AS241_CENTRAL_HALF_WIDTH:
-        return as241_central(q)
+    if abs(q) <= _AS241_CENTRAL_HALF_WIDTH:
+        return _as241_central(q)
     s = math.sqrt(-math.log(p if q < 0.0 else 1.0 - p))
-    x = as241_tail(s, AS241_NEAR_TAIL if s <= 5.0 else AS241_FAR_TAIL)
+    table = _AS241_NEAR_TAIL if s <= _AS241_TAIL_SPLIT else _AS241_FAR_TAIL
+    x = _as241_tail(s, table)
     return -x if q < 0.0 else x
+
+
+def norm_quantiles(p):
+    """norm_quantile at every element of a float64 ndarray p, as an array.
+
+    Each AS 241 region is evaluated once, on the elements in it, so every
+    element equals the scalar result bit for bit. The tail's log is
+    math.log per element, since np.log rounds apart from libm on about 1
+    value in 10^4. NumPy is imported here, not with the module.
+    """
+    import numpy as np
+
+    outside = ~((p > 0.0) & (p < 1.0))
+    if outside.any():
+        bad = float(p[outside][0])
+        raise DomainError(f"probability must lie in (0, 1), got {bad!r}")
+    q = p - 0.5
+    x = np.empty_like(p)
+    central = np.abs(q) <= _AS241_CENTRAL_HALF_WIDTH
+    x[central] = _as241_central(q[central])
+    tail = ~central
+    lower = q[tail] < 0.0
+    mass = np.where(lower, p[tail], 1.0 - p[tail])
+    s = np.sqrt(-np.fromiter(map(math.log, mass.tolist()), float, mass.size))
+    near = s <= _AS241_TAIL_SPLIT
+    far = ~near
+    s[near] = _as241_tail(s[near], _AS241_NEAR_TAIL)
+    s[far] = _as241_tail(s[far], _AS241_FAR_TAIL)
+    s[lower] = -s[lower]
+    x[tail] = s
+    return x
 
 
 def _betacf(a, b, x):

@@ -369,14 +369,15 @@ def estimate(subset, full, confidence_level=0.95):
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelDiagnostics:
     """Plot-ready series for the two normality assumptions.
 
     response_qq checks that the response itself is normal; residual_qq
     checks that the biomarker is normal conditional on the response.
     Each is regress.qq_points' (n, 2) array of (theoretical_quantile,
-    ordered_value) rows.
+    ordered_value) rows. Since the fields are arrays, == compares
+    identity; compare the fields with np.array_equal.
     """
 
     response_qq: np.ndarray

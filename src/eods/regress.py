@@ -208,31 +208,6 @@ def fit_simple(sample):
     return fit_rows(sample.predictor, sample.response).single()
 
 
-def _normal_quantiles(p):
-    """dist.norm_quantile at every element of a float64 array p in (0, 1).
-
-    The same AS 241 table, evaluated once per region on the elements in
-    it; each result equals the scalar one bit for bit. The tail's log is
-    math.log per element, since np.log rounds apart from libm on about 1
-    value in 10^4; the tails hold 15% of a plotting-position series.
-    """
-    q = p - 0.5
-    x = np.empty_like(p)
-    central = np.abs(q) <= dist.AS241_CENTRAL_HALF_WIDTH
-    x[central] = dist.as241_central(q[central])
-    tail = ~central
-    lower = q[tail] < 0.0
-    mass = np.where(lower, p[tail], 1.0 - p[tail])
-    s = np.sqrt(-np.fromiter(map(math.log, mass.tolist()), float, mass.size))
-    near = s <= 5.0
-    far = ~near
-    s[near] = dist.as241_tail(s[near], dist.AS241_NEAR_TAIL)
-    s[far] = dist.as241_tail(s[far], dist.AS241_FAR_TAIL)
-    s[lower] = -s[lower]
-    x[tail] = s
-    return x
-
-
 def qq_points(values):
     """Normal probability plot coordinates.
 
@@ -245,7 +220,7 @@ def qq_points(values):
     if n < 3:
         raise DegenerateInput("need at least 3 values for a probability plot")
     points = np.empty((n, 2))
-    points[:, 0] = _normal_quantiles((np.arange(1, n + 1) - 0.5) / n)
+    points[:, 0] = dist.norm_quantiles((np.arange(1, n + 1) - 0.5) / n)
     points[:, 1] = np.sort(values)
     return points
 

@@ -9,6 +9,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
@@ -71,27 +72,44 @@ def test_norm_quantile_matches_ndtri():
         assert abs(got - want) <= TOL_NORM_Q_REL * abs(want), (p, got, want)
 
 
-def test_norm_quantile_equals_inv_cdf():
-    # the AS 241 table and its order of operations are the standard
-    # library's, so the two agree exactly, region edges included
-    inv_cdf = statistics.NormalDist().inv_cdf
+def _as241_probabilities():
+    # plotting positions, both tails to their ends, the two edges of the
+    # central region (|p - 1/2| <= 0.425) and seeded uniforms
     n = 20000
     ps = [(i - 0.5) / n for i in range(1, n + 1)]
     ps += [10.0**-k for k in range(1, 301)]
     ps += [1.0 - 10.0**-k for k in range(1, 16)]
-    ps += [0.5 - dist.AS241_CENTRAL_HALF_WIDTH, 0.5 + dist.AS241_CENTRAL_HALF_WIDTH]
+    ps += [0.5 - 0.425, 0.5 + 0.425]
     rng = random.Random(241)
     ps += [rng.random() for _ in range(200_000)]
     ps = [p for p in ps if 0.0 < p < 1.0]
     assert len(ps) > 220_000
+    return ps
+
+
+def test_norm_quantile_equals_inv_cdf():
+    # the AS 241 table and its order of operations are the standard
+    # library's, so the two agree exactly, region edges included
+    inv_cdf = statistics.NormalDist().inv_cdf
+    ps = _as241_probabilities()
     mismatched = [p for p in ps if dist.norm_quantile(p) != inv_cdf(p)]
     assert mismatched == []
 
 
+def test_norm_quantiles_equal_the_scalar():
+    # every region of the array evaluation, the far tail (s > 5) too,
+    # gives the scalar's bits
+    ps = _as241_probabilities()
+    want = [dist.norm_quantile(p) for p in ps]
+    assert dist.norm_quantiles(np.array(ps)).tolist() == want
+
+
 def test_norm_quantile_domain():
-    for bad in (0.0, 1.0, -0.2, 1.7):
+    for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
         with pytest.raises(DomainError):
             dist.norm_quantile(bad)
+        with pytest.raises(DomainError, match="probability must lie in"):
+            dist.norm_quantiles(np.array([0.5, bad, 0.25]))
 
 
 def test_norm_quantile_roundtrip():

@@ -1,5 +1,6 @@
 """Checks for the reverse-to-forward conversion and its inference."""
 
+import dataclasses
 import math
 import random
 
@@ -258,6 +259,8 @@ def test_check_model_normal_data():
     assert 0.97 <= fit.slope <= 1.03
     assert abs(diag.response_skewness) < 0.1
     assert len(diag.residual_qq) == subset.n_selected
+    # the array fields compare by identity, not elementwise
+    assert diag == diag and diag != dataclasses.replace(diag)
 
 
 def test_check_model_skewed_residuals():
