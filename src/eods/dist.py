@@ -1,11 +1,11 @@
 """Probability kernels used across the package.
 
-Normal pdf/cdf/quantile, Student-t cdf/quantile, noncentral-F cdf, the
-regularized incomplete beta function, and the second moment of a
-truncated standard-normal tail. Everything here is a pure function of
-its arguments; no global state. The incomplete beta's front factor
-x^a (1 - x)^b / B(a, b) has one home, `_log_front`, shared by the t cdf
-and the noncentral F's central and modal terms.
+Normal pdf/cdf/quantile, Student-t cdf/quantile, noncentral-F cdf, and
+the second moment of a truncated standard-normal tail, each a pure
+function of its arguments. Both cdfs reach the private incomplete beta
+`_ibeta`, whose front factor x^a (1 - x)^b / B(a, b) has one home,
+`_log_front`. A df whose half is not positive and finite, or a NaN x
+of either cdf, raises DomainError where a caller enters.
 
 Accuracy targets: cdfs to about 1e-12 absolute, quantiles to 1e-10,
 noncentral-F series truncated when the remaining Poisson mass drops
@@ -47,6 +47,12 @@ _QUANTILE_XTOL = 1e-12
 _QUANTILE_MAX_ITER = 100
 
 
+def _check_df(df, name="degrees of freedom"):
+    """Refuse a df unless df / 2, an `_ibeta` parameter, is finite and > 0."""
+    if not 0.0 < 0.5 * df < math.inf:
+        raise DomainError(f"{name} / 2 must be positive and finite, got {df!r}")
+
+
 @dataclass(frozen=True)
 class NoncentralFParams:
     """Degrees of freedom and noncentrality of a noncentral F variable."""
@@ -56,8 +62,8 @@ class NoncentralFParams:
     ncp: float
 
     def __post_init__(self):
-        if not (self.df1 > 0 and self.df2 > 0):
-            raise DomainError("degrees of freedom must be positive")
+        _check_df(self.df1, "df1")
+        _check_df(self.df2, "df2")
         if not self.ncp >= 0:
             raise DomainError("noncentrality must be nonnegative")
 
@@ -253,11 +259,8 @@ def _ibeta(a, b, x, y):
     Where x rounds next to 1, y keeps the digits that 1 - x would lose:
     the front factor reads it (see `_log_front`), and the continued
     fraction above the mean runs on y. y is not read when x is 0.
+    Callers pass x in [0, 1] and a, b > 0, the latter by `_check_df`.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError("beta parameters must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
         return 0.0
     if y == 0.0:
@@ -270,21 +273,16 @@ def _ibeta(a, b, x, y):
     return 1.0 - front * _betacf(b, a, y) / b
 
 
-def regularized_incomplete_beta(a, b, x):
-    """I_x(a, b), the regularized incomplete beta function."""
-    return _ibeta(a, b, x, 1.0 - x)
-
-
 def t_cdf(x, df):
-    """Student-t cdf with df > 0 degrees of freedom.
+    """Student-t cdf with df degrees of freedom; a NaN x raises DomainError.
 
     The tail is I_w(df/2, 1/2) / 2 at w = df / (df + x^2), with 1 - w
-    formed as x^2 / (df + x^2), so a small |x| keeps its digits.
+    formed as x^2 / (df + x^2), so a small |x| keeps its digits, and the
+    tail is exactly 1/2 at x = 0, where w = 1.
     """
-    if not df > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df!r}")
-    if x == 0.0:
-        return 0.5
+    _check_df(df)
+    if math.isnan(x):
+        raise DomainError(f"t cdf needs a number x, got {x!r}")
     # an x^2 that overflows gives w = 0, and so a zero tail
     x2 = x * x
     tail = 0.5 * _ibeta(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
@@ -309,7 +307,8 @@ def _hill_start(q, df):
         # past exp's range the root is too, and t_cdf reads 0 there
         return math.exp(min(log_t, 709.0))
     a = 1.0 / (df - 0.5)
-    b = 48.0 / (a * a)
+    # b is inf from df 2e153 on (a * a is 0 from 6e161): the normal start
+    b = 48.0 / (a * a) if a * a else math.inf
     c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
     d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
     y = (d * p) ** (2.0 / df)
@@ -345,8 +344,7 @@ def t_quantile(p, df):
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie in (0, 1), got {p!r}")
-    if not df > 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df!r}")
+    _check_df(df)
     if p == 0.5:
         return 0.0
     sign, q = (-1.0, 1.0 - p) if p > 0.5 else (1.0, p)

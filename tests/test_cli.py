@@ -1022,19 +1022,22 @@ def test_loader_reads_a_bom_file_as_without_it(tmp_path):
 def test_loader_field_over_csv_limit_is_a_schema_error(tmp_path, capsys,
                                                         quoted):
     # csv.reader refuses a field longer than its limit; a quoted line
-    # and a plain one both report it as the line's error
+    # and a plain one both report it as the line's error, in the data
+    # rows and in the header
     limit = csv.field_size_limit()
     cell = "x" * (limit + 1)
     if quoted:
         cell = f'"{cell}"'
     path = tmp_path / "long.csv"
-    path.write_text(f"id,resp,bm\na,1.0,2.0\n{cell},2.0,3.0\n")
-    for command in (["screen"], ["analyze", "--biomarker", "bm"]):
-        argv = [command[0], "--input", str(path), "--response", "resp"]
-        assert main(argv + command[1:]) == 2
-        assert capsys.readouterr().err == (
-            f"error: line 3: field larger than field limit ({limit})\n"
-        )
+    for text, line in ((f"id,resp,bm\na,1.0,2.0\n{cell},2.0,3.0\n", 3),
+                       (f"{cell},resp,bm\na,1.0,2.0\n", 1)):
+        path.write_text(text)
+        for command in (["screen"], ["analyze", "--biomarker", "bm"]):
+            argv = [command[0], "--input", str(path), "--response", "resp"]
+            assert main(argv + command[1:]) == 2
+            assert capsys.readouterr().err == (
+                f"error: line {line}: field larger than field limit ({limit})\n"
+            )
 
 
 @pytest.mark.parametrize(
@@ -2227,13 +2230,19 @@ def test_simulate_csv_layout(tmp_path):
     ],
 )
 def test_study_not_utf8_rejected(tmp_path, capsys, command):
-    # the bad byte sits past the header, so it surfaces mid-read
+    # A text stream decodes a chunk at a time. The short file's bad byte
+    # lies past the header but in the header read's chunk; the long
+    # one's, after 80 KiB of rows, surfaces in the data rows' read.
+    head = b"id,resp,bm\na,1.0,2.0\n"
+    rows = b"".join(b"r%d,1.0,2.0\n" % i for i in range(6000))
     study = tmp_path / "bad.csv"
-    study.write_bytes(b"id,resp,bm\na,1.0,2.0\nb,\xff,3.0\n")
     argv = [command[0], "--input", str(study), "--response", "resp"]
-    assert main(argv + command[1:]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {study}: not valid UTF-8 at byte offset 23\n"
+    for before in (head, head + rows):
+        study.write_bytes(before + b"b,\xff,3.0\n")
+        assert main(argv + command[1:]) == 2
+        err = capsys.readouterr().err
+        offset = len(before) + 2
+        assert err == f"error: {study}: not valid UTF-8 at byte offset {offset}\n"
 
 
 # --------------------------------------------------------------- check

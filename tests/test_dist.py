@@ -137,7 +137,9 @@ def test_norm_cdf_monotone():
 
 
 def test_t_cdf_values():
-    assert dist.t_cdf(0.0, 7) == 0.5
+    # at t = 0 and -0, w = 1, and the tail is the incomplete beta's y = 0 exit
+    for df in (1, 2, 7, 198, 1e6, 1e100, 1e300):
+        assert dist.t_cdf(0.0, df) == dist.t_cdf(-0.0, df) == 0.5, df
     assert abs(dist.t_cdf(2.101, 18) - REF_T_CDF_2101_18) < TOL_CDF
     # normal limit
     assert abs(dist.t_cdf(1.0, 1e6) - dist.norm_cdf(1.0)) < 1e-3
@@ -164,6 +166,13 @@ def test_t_cdf_domain():
         dist.t_cdf(1.0, 0)
     with pytest.raises(DomainError):
         dist.t_cdf(1.0, -3)
+    # each refusal names its argument, not the internal w = df / (df + t^2)
+    with pytest.raises(DomainError, match="number x, got nan"):
+        dist.t_cdf(math.nan, 5)
+    # an infinite df, and one whose half underflows to 0
+    for df in (math.inf, 5e-324):
+        with pytest.raises(DomainError, match=f"degrees of freedom .*got {df!r}"):
+            dist.t_cdf(1.0, df)
 
 
 def test_t_quantile_values():
@@ -196,6 +205,16 @@ def test_t_quantile_domain():
         dist.t_quantile(0.0, 18)
     with pytest.raises(DomainError):
         dist.t_quantile(0.025, 0)
+    with pytest.raises(DomainError, match="degrees of freedom .*got inf"):
+        dist.t_quantile(0.025, math.inf)
+    # Hill's start once divided by a * a = 0 here; t_cdf does not serve
+    # such a df, so it may refuse, but with no traceback
+    try:
+        got = dist.t_quantile(0.025, 1e200)
+    except DomainError:
+        pass
+    else:
+        assert abs(got + REF_NORM_Q_0975) < TOL_QUANTILE
     # the quantile, about -3.2e299, is past where x * x overflows
     with pytest.raises(DomainError):
         dist.t_quantile(1e-300, 1)
@@ -264,28 +283,28 @@ def test_f_critical_value_is_t_squared():
 
 
 def test_incomplete_beta_basics():
-    assert dist.regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert dist.regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+    assert dist._ibeta(2.0, 3.0, 0.0, 1.0) == 0.0
+    assert dist._ibeta(2.0, 3.0, 1.0, 0.0) == 1.0
     # I_x(1, 1) is the identity
     for x in (0.1, 0.37, 0.9):
-        assert abs(dist.regularized_incomplete_beta(1.0, 1.0, x) - x) < 1e-14
+        assert abs(dist._ibeta(1.0, 1.0, x, 1.0 - x) - x) < 1e-14
     # complement symmetry
     rng = random.Random(5)
     for _ in range(40):
         a = rng.uniform(0.2, 50)
         b = rng.uniform(0.2, 50)
         x = rng.random()
-        lhs = dist.regularized_incomplete_beta(a, b, x)
-        rhs = 1.0 - dist.regularized_incomplete_beta(b, a, 1.0 - x)
+        lhs = dist._ibeta(a, b, x, 1.0 - x)
+        rhs = 1.0 - dist._ibeta(b, a, 1.0 - x, x)
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_incomplete_beta_cap_raises():
     # the continued fraction needs about sqrt(a) terms at the mean; at
     # a = b = 1e6 it once stopped at its cap, 4e-7 short of 0.5
-    assert abs(dist.regularized_incomplete_beta(1e4, 1e4, 0.5) - 0.5) < 1e-11
+    assert abs(dist._ibeta(1e4, 1e4, 0.5, 0.5) - 0.5) < 1e-11
     with pytest.raises(DomainError, match="more than 300 iterations"):
-        dist.regularized_incomplete_beta(1e6, 1e6, 0.5)
+        dist._ibeta(1e6, 1e6, 0.5, 0.5)
 
 
 def test_ncf_params_validation():
@@ -295,6 +314,11 @@ def test_ncf_params_validation():
         dist.NoncentralFParams(1, -1, 1.0)
     with pytest.raises(DomainError):
         dist.NoncentralFParams(1, 18, -0.5)
+    # an infinite df once gave silently wrong cdfs, or a bare ValueError
+    with pytest.raises(DomainError, match="df2 .*got inf"):
+        dist.NoncentralFParams(1, math.inf, 0)
+    with pytest.raises(DomainError, match="df1 .*got inf"):
+        dist.NoncentralFParams(math.inf, 5, 2)
 
 
 def test_ncf_reduces_to_central():
