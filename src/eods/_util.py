@@ -12,6 +12,8 @@ from .errors import DomainError
 
 # The fewest selected pairs odeb.estimate_rows takes; no plan selects fewer
 MIN_ESTIMATE_PAIRS = 4
+# The largest cohort, n_full, that design plans and sim draws
+MAX_N_FULL = 10_000_000
 
 
 def round_half_away_from_zero(x):
@@ -38,8 +40,8 @@ def selected_count(gamma, n):
     return n_selected
 
 
-def whole_number(name, value, least):
-    """value as an int; DomainError unless it is a whole number >= least."""
+def whole_number(name, value, least, most=math.inf):
+    """value as an int; DomainError unless a whole number in [least, most]."""
     try:
         whole = int(value) == value
     except (TypeError, ValueError, OverflowError):
@@ -48,6 +50,8 @@ def whole_number(name, value, least):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise DomainError(f"{name} must be at least {least}, got {value!r}")
+    if value > most:
+        raise DomainError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 

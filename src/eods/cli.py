@@ -585,12 +585,11 @@ def cmd_plan(args):
 
     if args.n_full is not None and args.gamma is not None:
         spec = design.DesignSpec(args.n_full, args.gamma, effect_f, alpha)
-        result = design.power_eods(spec)
+        n_selected, power = spec.n_selected, design.power_eods(spec).power
         print(
             f"n_full {args.n_full}, gamma {_fmt(args.gamma)}, "
             f"effect_f {_fmt(effect_f)}, alpha {_fmt(alpha)}"
         )
-        print(f"{_select_phrase(spec.n_selected)}, power {result.power:.4f}")
     elif args.n_full is not None:
         gamma, n_selected, power = design.min_gamma_for_power(
             args.n_full, effect_f, alpha, args.target_power
@@ -600,19 +599,16 @@ def cmd_plan(args):
             f"alpha {_fmt(alpha)}, target_power {_fmt(args.target_power)}"
         )
         print(f"gamma {_fmt(gamma)}")
-        print(f"{_select_phrase(n_selected)}, power {power:.4f}")
     else:
-        n_full = design.min_nfull_for_power(
+        n_full, n_selected, power = design.min_nfull_for_power(
             args.gamma, effect_f, alpha, args.target_power
         )
-        spec = design.DesignSpec(n_full, args.gamma, effect_f, alpha)
-        result = design.power_eods(spec)
         print(
             f"gamma {_fmt(args.gamma)}, effect_f {_fmt(effect_f)}, "
             f"alpha {_fmt(alpha)}, target_power {_fmt(args.target_power)}"
         )
         print(f"n_full {n_full}")
-        print(f"{_select_phrase(spec.n_selected)}, power {result.power:.4f}")
+    print(f"{_select_phrase(n_selected)}, power {power:.4f}")
     return 0
 
 

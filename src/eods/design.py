@@ -14,15 +14,14 @@ per tail corresponds to gamma = 2p.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
 from . import dist
-from ._util import MIN_ESTIMATE_PAIRS, round_half_away_from_zero
+from ._util import MAX_N_FULL, MIN_ESTIMATE_PAIRS, round_half_away_from_zero
 from ._util import check_alpha, check_gamma, whole_number
 from .errors import DomainError, Infeasible
-
-_MAX_N_FULL = 10_000_000
 
 
 def _check_effect_f(effect_f):
@@ -49,7 +48,7 @@ class DesignSpec:
 
     def __post_init__(self):
         # frozen: the checks keep the values as given
-        whole_number("n_full", self.n_full, 5)
+        whole_number("n_full", self.n_full, 5, MAX_N_FULL)
         check_gamma(self.gamma)
         _check_effect_f(self.effect_f)
         check_alpha(self.alpha)
@@ -106,7 +105,7 @@ def _slope_test_power(alpha, df2, ncp):
 
 def power_full(n, effect_f, alpha):
     """Power of the level-alpha slope test with all n subjects observed."""
-    whole_number("n", n, 4)
+    whole_number("n", n, 4, MAX_N_FULL)
     _check_effect_f(effect_f)
     check_alpha(alpha)
     return _slope_test_power(alpha, n - 2, n * effect_f * effect_f)
@@ -145,48 +144,50 @@ def min_gamma_for_power(n_full, effect_f, alpha, target_power):
     Brackets and bisects n_selected = 2h >= MIN_ESTIMATE_PAIRS (h per
     tail) at fixed n_full; returns (gamma, n_selected, achieved_power),
     full sampling for an odd n_full that no even size serves. Infeasible
-    if even full sampling (gamma = 1) cannot reach the target.
+    if even full sampling (gamma = 1) cannot reach the target, evaluated
+    only when no even size meets it; no size is evaluated twice.
     """
     _check_target_power(target_power, alpha)
-    full = power_eods(DesignSpec(n_full, 1.0, effect_f, alpha))
-    if full.power < target_power:
-        raise Infeasible(
-            f"even full sampling yields power {full.power:.4f} "
-            f"below the target {target_power:.4f}"
-        )
 
-    def power_at(half):
-        spec = DesignSpec(n_full, 2 * half / n_full, effect_f, alpha)
-        return power_eods(spec).power
+    @functools.cache
+    def power_at(k):
+        return power_eods(DesignSpec(n_full, k / n_full, effect_f, alpha)).power
 
     lo = (MIN_ESTIMATE_PAIRS + 1) // 2
-    half = _smallest_meeting(lambda h: power_at(h) >= target_power, lo, n_full // 2)
-    if half is None:
-        return 1.0, n_full, full.power
-    return 2 * half / n_full, 2 * half, power_at(half)
+    half = _smallest_meeting(lambda h: power_at(2 * h) >= target_power, lo, n_full // 2)
+    k = n_full if half is None else 2 * half
+    if power_at(k) < target_power:
+        raise Infeasible(
+            f"even full sampling yields power {power_at(k):.4f} "
+            f"below the target {target_power:.4f}"
+        )
+    return k / n_full, k, power_at(k)
 
 
 def min_nfull_for_power(gamma, effect_f, alpha, target_power):
     """Smallest n_full meeting the power target at a fixed gamma.
 
     Brackets and bisects over the n_full >= 5 that select at least
-    MIN_ESTIMATE_PAIRS subjects, the fewest the estimator takes.
-    Infeasible if none up to 10,000,000 reaches the target.
+    MIN_ESTIMATE_PAIRS subjects, the fewest the estimator takes; returns
+    (n_full, n_selected, achieved_power), each n_full evaluated once.
+    Infeasible if none up to MAX_N_FULL reaches the target.
     """
     check_gamma(gamma)
     _check_effect_f(effect_f)
     _check_target_power(target_power, alpha)
 
-    def meets(n):
-        if round_half_away_from_zero(gamma * n) < MIN_ESTIMATE_PAIRS:
-            return False
-        spec = DesignSpec(n, gamma, effect_f, alpha)
-        return power_eods(spec).power >= target_power
+    @functools.cache
+    def power_at(n):
+        return power_eods(DesignSpec(n, gamma, effect_f, alpha)).power
 
-    n_full = _smallest_meeting(meets, 5, _MAX_N_FULL)
+    def meets(n):
+        enough = round_half_away_from_zero(gamma * n) >= MIN_ESTIMATE_PAIRS
+        return enough and power_at(n) >= target_power
+
+    n_full = _smallest_meeting(meets, 5, MAX_N_FULL)
     if n_full is None:
         raise Infeasible(
-            f"no design up to n_full = {_MAX_N_FULL} reaches power "
+            f"no design up to n_full = {MAX_N_FULL} reaches power "
             f"{target_power:.4f}"
         )
-    return n_full
+    return n_full, round_half_away_from_zero(gamma * n_full), power_at(n_full)

@@ -48,9 +48,10 @@ _QUANTILE_MAX_ITER = 100
 
 
 def _check_df(df, name="degrees of freedom"):
-    """Refuse a df unless df / 2, an `_ibeta` parameter, is finite and > 0."""
-    if not 0.0 < 0.5 * df < math.inf:
-        raise DomainError(f"{name} / 2 must be positive and finite, got {df!r}")
+    """Refuse a df unless df / 2, an `_ibeta` parameter, is in (0, 5e304]."""
+    # math.lgamma overflows past about 2.5e305, and _ibeta takes it of a + b
+    if not 0.0 < 0.5 * df <= 5e304:
+        raise DomainError(f"{name} / 2 must lie in (0, 5e+304], got {df!r}")
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ class FullResponseSummary:
     @classmethod
     def from_responses(cls, responses):
         y = np.asarray(responses, dtype=float)
+        if y.ndim != 1:
+            raise DomainError("responses must be a one-dimensional vector")
         n = y.shape[0]
         # __post_init__ rejects n < 3 first, then a non-finite var_y: an
         # overflow, or the 0/0 of n < 2, which stays quiet here

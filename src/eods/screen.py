@@ -206,8 +206,8 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
 
     responses is the full response vector. biomarkers maps each id to a
     vector aligned with it row for row, NaN where that biomarker was not
-    tested. The rows where any biomarker was tested are kept and
-    screened by screen_tested.
+    tested. Every row is handed to screen_tested, which fits each
+    biomarker on its own tested rows.
     """
     y = np.asarray(responses, dtype=float)
     columns = {}
@@ -219,16 +219,11 @@ def screen_biomarkers(responses, biomarkers, confidence_level=0.95):
                 f"expected {y.shape}"
             )
         columns[biomarker_id] = x
-    tested = np.zeros(y.shape, dtype=bool)
-    for x in columns.values():
-        tested |= ~np.isnan(x)
-    rows = np.flatnonzero(tested)
-    compact = {biomarker_id: x[rows] for biomarker_id, x in columns.items()}
-    return screen_tested(y, rows, compact, confidence_level)
+    return screen_tested(y, np.arange(y.size), columns, confidence_level)
 
 
 def screen_tested(responses, rows, biomarkers, confidence_level=0.95):
-    """screen_biomarkers on the tested rows alone.
+    """The screen on given rows: at least every row a biomarker was tested on.
 
     responses is the full response vector and rows are ascending
     positions in it. biomarkers maps each id to its values on those

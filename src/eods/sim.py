@@ -48,7 +48,8 @@ from typing import Optional
 import numpy as np
 
 from . import odeb, regress, screen
-from ._util import check_alpha, check_gamma, selected_count, whole_number
+from ._util import MAX_N_FULL, check_alpha, check_gamma, selected_count
+from ._util import whole_number
 from .dist import t_quantile
 from .errors import DomainError, EodsError
 
@@ -82,7 +83,7 @@ class SimScenario:
         self.residual_family, self.t_df = _residual_family(
             self.residual_family, self.noise_variance, self.t_df
         )
-        self.n_full = whole_number("n_full", self.n_full, 5)
+        self.n_full = whole_number("n_full", self.n_full, 5, MAX_N_FULL)
         self.replicates = whole_number("replicates", self.replicates, 1)
         self.seed = whole_number("seed", self.seed, 0)
         check_gamma(self.gamma)

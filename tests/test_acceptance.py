@@ -166,12 +166,12 @@ def test_min_gamma_design_example():
     # minimal: one even step down, 36 selected, falls short
     below = design.power_eods(design.DesignSpec(200, 0.18, 0.3, 0.05)).power
     assert below < 0.90
-    full_n = design.min_nfull_for_power(1.0, 0.3, 0.05, 0.90)
+    full_n, _, _ = design.min_nfull_for_power(1.0, 0.3, 0.05, 0.90)
     assert round(full_n / n_selected) == 3
 
 
 def test_min_nfull_full_sampling():
-    assert design.min_nfull_for_power(1.0, 0.3, 0.05, 0.90) == 119
+    assert design.min_nfull_for_power(1.0, 0.3, 0.05, 0.90)[0] == 119
 
 
 def test_conversion_round_trips():

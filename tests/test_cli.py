@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from eods import cli, dist, odeb, regress, sim
+from eods import cli, design, dist, odeb, regress, sim
 from eods.cli import main
 from eods.errors import DomainError, SchemaError
 
@@ -1283,6 +1283,41 @@ def test_plan_min_nfull(capsys):
     assert "n_full 119" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "query, answer",
+    [
+        (["--n-full", "200", "--gamma", "0.19"], "select 38 (19 per tail)"),
+        (["--n-full", "200", "--target-power", "0.90"], "gamma 0.19"),
+        (["--gamma", "0.2", "--target-power", "0.90"], "n_full 190"),
+    ],
+)
+def test_plan_evaluates_no_design_twice(monkeypatch, capsys, query, answer):
+    # each search returns the power it evaluated, and cmd_plan prints it
+    # without building or evaluating the answer's design again
+    specs = []
+    power_eods = design.power_eods
+    monkeypatch.setattr(
+        design, "power_eods", lambda spec: specs.append(spec) or power_eods(spec)
+    )
+    assert main(["plan", *query, "--effect-f", "0.3", "--alpha", "0.05"]) == 0
+    assert answer in capsys.readouterr().out
+    assert specs and len(set(specs)) == len(specs), specs
+
+
+def test_plan_refuses_a_cohort_above_the_ceiling(capsys):
+    argv = ["plan", "--gamma", "0.2", "--effect-f", "0.1", "--alpha", "0.05"]
+    assert main(argv + ["--n-full", "10000001"]) == 2
+    assert capsys.readouterr().err == (
+        "error: n_full must be at most 10000000, got 10000001\n"
+    )
+    assert main(argv + ["--n-full", "10000000"]) == 0
+    assert "select 2000000 (1000000 per tail)" in capsys.readouterr().out
+    # the min-gamma search is held to the same ceiling
+    argv = ["plan", "--target-power", "0.9", "--effect-f", "0.1"]
+    assert main(argv + ["--n-full", "10000001"]) == 2
+    assert "n_full must be at most 10000000" in capsys.readouterr().err
+
+
 def test_plan_zero_effect_power_equals_alpha(capsys):
     code = main(
         ["plan", "--n-full", "100", "--gamma", "0.2", "--effect-f", "0"]
@@ -2134,6 +2169,13 @@ def test_simulate_config_errors(tmp_path, capsys):
             "cell (n_full=4, beta_y=0.0, gamma=0.2, family=normal, "
             "sampling=extreme, estimator=odeb): "
             "n_full must be at least 5, got 4",
+        ),
+        (
+            # refused before any cell allocates its draws
+            base.replace("n_full = 100", "n_full = 100, 10000001"),
+            "cell (n_full=10000001, beta_y=0.0, gamma=0.2, family=normal, "
+            "sampling=extreme, estimator=odeb): "
+            "n_full must be at most 10000000, got 10000001",
         ),
         (
             base.replace("replicates = 10", "replicates = 0"),

@@ -291,6 +291,58 @@ def test_min_gamma_power_evaluations_at_100k(monkeypatch):
     assert len(calls) <= 40
 
 
+def _recorded(monkeypatch):
+    specs = []
+
+    def recorded(spec):
+        specs.append(spec)
+        return power_eods(spec)
+
+    monkeypatch.setattr(design, "power_eods", recorded)
+    return specs
+
+
+def test_searches_evaluate_each_design_once(monkeypatch):
+    cap_51 = power_eods(DesignSpec(51, 1.0, 0.3, 0.05)).power
+    cap_200 = power_eods(DesignSpec(200, 1.0, 0.3, 0.05)).power
+    specs = _recorded(monkeypatch)
+    # odd n_full that no even size serves: full sampling is evaluated
+    # after the search, once
+    assert min_gamma_for_power(51, 0.3, 0.05, cap_51 - 1e-9) == (1.0, 51, cap_51)
+    assert specs[-1] == DesignSpec(51, 1.0, 0.3, 0.05)
+    assert len(set(specs)) == len(specs)
+    # even n_full: the search's last size is full sampling, kept for the
+    # infeasible message
+    specs.clear()
+    with pytest.raises(Infeasible, match=f"yields power {cap_200:.4f}"):
+        min_gamma_for_power(200, 0.3, 0.05, 0.9999)
+    assert specs[-1] == DesignSpec(200, 1.0, 0.3, 0.05)
+    assert len(set(specs)) == len(specs)
+    # a search that answers never evaluates full sampling
+    specs.clear()
+    min_gamma_for_power(200, 0.3, 0.05, 0.90)
+    assert DesignSpec(200, 1.0, 0.3, 0.05) not in specs
+    assert len(set(specs)) == len(specs)
+    specs.clear()
+    n_full, n_selected, achieved = min_nfull_for_power(0.2, 0.3, 0.05, 0.90)
+    assert specs.count(DesignSpec(n_full, 0.2, 0.3, 0.05)) == 1
+    assert len(set(specs)) == len(specs)
+
+
+def test_cohort_ceiling():
+    assert DesignSpec(10_000_000, 0.2, 0.1, 0.05).n_selected == 2_000_000
+    for n_full in (10_000_001, 10**13, 10**18):
+        with pytest.raises(DomainError, match="n_full must be at most 10000000"):
+            DesignSpec(n_full, 0.2, 0.1, 0.05)
+        with pytest.raises(DomainError, match="n_full must be at most 10000000"):
+            min_gamma_for_power(n_full, 0.1, 0.05, 0.8)
+    with pytest.raises(DomainError, match="n must be at most 10000000"):
+        power_full(10_000_001, 0.1, 0.05)
+    # the search cap reads the same ceiling
+    with pytest.raises(Infeasible, match="no design up to n_full = 10000000 "):
+        min_nfull_for_power(0.2, 1e-6, 0.05, 0.9)
+
+
 def test_min_gamma_monotone_in_effect():
     sizes = [
         min_gamma_for_power(200, f, 0.05, 0.80)[1]
@@ -300,22 +352,26 @@ def test_min_gamma_monotone_in_effect():
 
 
 def test_min_nfull_gamma_one():
-    got = min_nfull_for_power(1.0, 0.3, 0.05, 0.90)
-    assert got == REF_MIN_NFULL_G1
+    got, n_selected, achieved = min_nfull_for_power(1.0, 0.3, 0.05, 0.90)
+    assert got == n_selected == REF_MIN_NFULL_G1
+    assert achieved == power_eods(DesignSpec(got, 1.0, 0.3, 0.05)).power
     assert power_full(got, 0.3, 0.05) >= 0.90
     assert power_full(got - 1, 0.3, 0.05) < 0.90
 
 
 def test_min_nfull_extreme_design():
-    got = min_nfull_for_power(0.1, 0.3, 0.05, 0.90)
+    got, n_selected, achieved = min_nfull_for_power(0.1, 0.3, 0.05, 0.90)
     assert got == REF_MIN_NFULL_G01
+    assert n_selected == DesignSpec(got, 0.1, 0.3, 0.05).n_selected
+    assert achieved == power_eods(DesignSpec(got, 0.1, 0.3, 0.05)).power
     assert power_eods(DesignSpec(got, 0.1, 0.3, 0.05)).power >= 0.90
     assert power_eods(DesignSpec(got - 1, 0.1, 0.3, 0.05)).power < 0.90
 
 
 def test_min_nfull_monotone_in_target():
     results = [
-        min_nfull_for_power(0.2, 0.3, 0.05, t) for t in (0.5, 0.7, 0.8, 0.9, 0.95)
+        min_nfull_for_power(0.2, 0.3, 0.05, t)[0]
+        for t in (0.5, 0.7, 0.8, 0.9, 0.95)
     ]
     assert all(b >= a for a, b in zip(results, results[1:]))
 
@@ -328,9 +384,9 @@ def test_min_nfull_infeasible_null_effect():
 def test_planners_answer_only_designs_the_estimator_takes():
     # a huge effect meets the target at 3 selected rows, which
     # odeb.estimate refuses; the search answers the first 4-row design
-    n_full = min_nfull_for_power(0.1, 5.0, 0.05, 0.8)
+    n_full, n_selected, _ = min_nfull_for_power(0.1, 5.0, 0.05, 0.8)
     assert n_full == 35
-    assert DesignSpec(n_full, 0.1, 5.0, 0.05).n_selected == 4
+    assert n_selected == DesignSpec(n_full, 0.1, 5.0, 0.05).n_selected == 4
     # the 3-row design at n_full 25 would meet it, and no spec takes it
     ncp = 25 * 5.0**2 * 0.1 * design.variance_inflation(0.1)
     assert design._slope_test_power(0.05, 1, ncp) >= 0.8

@@ -7,6 +7,7 @@ the tail sweeps call SciPy directly.
 
 import math
 import random
+import re
 import statistics
 
 import numpy as np
@@ -169,9 +170,11 @@ def test_t_cdf_domain():
     # each refusal names its argument, not the internal w = df / (df + t^2)
     with pytest.raises(DomainError, match="number x, got nan"):
         dist.t_cdf(math.nan, 5)
-    # an infinite df, and one whose half underflows to 0
-    for df in (math.inf, 5e-324):
-        with pytest.raises(DomainError, match=f"degrees of freedom .*got {df!r}"):
+    # an infinite df, one whose half underflows to 0, and one whose
+    # lgamma overflows
+    for df in (math.inf, 5e-324, 1.7e308):
+        got = re.escape(repr(df))
+        with pytest.raises(DomainError, match=f"degrees of freedom .*got {got}"):
             dist.t_cdf(1.0, df)
 
 
@@ -207,6 +210,8 @@ def test_t_quantile_domain():
         dist.t_quantile(0.025, 0)
     with pytest.raises(DomainError, match="degrees of freedom .*got inf"):
         dist.t_quantile(0.025, math.inf)
+    with pytest.raises(DomainError, match="degrees of freedom .*got 1.7e"):
+        dist.t_quantile(0.025, 1.7e308)
     # Hill's start once divided by a * a = 0 here; t_cdf does not serve
     # such a df, so it may refuse, but with no traceback
     try:
@@ -319,6 +324,9 @@ def test_ncf_params_validation():
         dist.NoncentralFParams(1, math.inf, 0)
     with pytest.raises(DomainError, match="df1 .*got inf"):
         dist.NoncentralFParams(math.inf, 5, 2)
+    # past about 5.1e305, math.lgamma of df / 2 overflows
+    with pytest.raises(DomainError, match="df2 .*got 1.7e"):
+        dist.f_cdf_noncentral(1.0, dist.NoncentralFParams(1, 1.7e308, 0))
 
 
 def test_ncf_reduces_to_central():

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from eods import dist, odeb, regress
+from eods import dist, odeb, regress, screen
 from eods.errors import DegenerateInput, DomainError, InsufficientData
 from eods.regress import PairedSample, fit_simple
 
@@ -146,6 +146,16 @@ def test_estimate_rejects_subset_larger_than_full():
     full = odeb.FullResponseSummary(n_full=3, mean_y=1.0, var_y=2.0)
     with pytest.raises(DomainError):
         odeb.estimate(subset, full)
+
+
+def test_full_summary_refuses_responses_that_are_not_a_vector():
+    # a 2-D array once ended in a bare TypeError, a 0-d one in IndexError
+    for responses in (np.ones((3, 4)), np.float64(2.0)):
+        with pytest.raises(DomainError, match="one-dimensional vector"):
+            odeb.FullResponseSummary.from_responses(responses)
+        # screen_biomarkers meets the same check on a matching column
+        with pytest.raises(DomainError, match="one-dimensional vector"):
+            screen.screen_biomarkers(responses, {"b": responses})
 
 
 def test_estimate_degenerate_equal_responses():

@@ -450,14 +450,20 @@ def test_screen_computes_p_values_once(monkeypatch):
 
 
 def test_screen_tested_takes_any_rows_that_hold_the_tested_ones():
-    # screen_biomarkers keeps the rows where some biomarker was tested;
-    # every row, untested ones too, gives the same screen bit for bit
+    # screen_biomarkers hands screen_tested every row; the rows where some
+    # biomarker was tested, as the loader keeps them, give the same
+    # screen bit for bit
     y, table, _ = _mask_fixture()
     want = screen.screen_biomarkers(y, table)
-    every = np.arange(len(y))
-    assert screen.screen_tested(y, every, table) == want
+    tested = np.zeros(len(y), dtype=bool)
+    for x in table.values():
+        tested |= ~np.isnan(x)
+    rows = np.flatnonzero(tested)
+    assert len(rows) < len(y)
+    compact = {name: np.asarray(x)[rows] for name, x in table.items()}
+    assert screen.screen_tested(y, rows, compact) == want
     with pytest.raises(DomainError, match="one value per tested row"):
-        screen.screen_tested(y, every[:-1], table)
+        screen.screen_tested(y, rows[:-1], compact)
 
 
 def test_tested_groups_in_order_of_first_appearance():
